@@ -24,12 +24,6 @@ const MaxDistance = 2.0
 // Func computes the distance between two leaf values, in [0, 2].
 type Func func(a, b string) float64
 
-// TokenFunc computes the distance between two pre-tokenized values, in
-// [0, 2]. Comparers that operate on word slices can expose this form so
-// callers may tokenize each value once and reuse the tokens across many
-// pairwise comparisons (the matcher's token cache does exactly that).
-type TokenFunc func(wa, wb []string) float64
-
 // Exact returns 0 when the values are byte-identical and MaxDistance
 // otherwise. It models keyed domains where only exact matches count.
 func Exact(a, b string) float64 {
@@ -52,8 +46,9 @@ func WordLCS(a, b string) float64 {
 	return WordSliceLCS(wa, wb)
 }
 
-// WordSliceLCS is the TokenFunc form of WordLCS: the same distance over
-// values already split into words. WordLCS(a, b) ==
+// WordSliceLCS is the token form of WordLCS: the same distance over
+// values already split into words, so callers can split each value once
+// and reuse the words across many comparisons. WordLCS(a, b) ==
 // WordSliceLCS(Words(a), Words(b)) for all inputs.
 func WordSliceLCS(wa, wb []string) float64 {
 	if len(wa) == 0 && len(wb) == 0 {

@@ -64,25 +64,3 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
-
-func FuzzSplitSentences(f *testing.F) {
-	for _, s := range []string{"", "One. Two!", "e.g. kept", "a?b", "trailing"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, text string) {
-		got := latex.SplitSentences(text)
-		// No words may be lost or invented.
-		var joined []string
-		for _, s := range got {
-			joined = append(joined, s)
-		}
-		wantWords := len(strings.Fields(text))
-		gotWords := 0
-		for _, s := range joined {
-			gotWords += len(strings.Fields(s))
-		}
-		if wantWords != gotWords {
-			t.Fatalf("word count changed: %d -> %d for %q (%q)", wantWords, gotWords, text, got)
-		}
-	})
-}

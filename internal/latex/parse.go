@@ -14,6 +14,8 @@ package latex
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ladiff/internal/fault"
 	"ladiff/internal/gen"
@@ -46,7 +48,14 @@ func Parse(src string) (*tree.Tree, error) {
 // built: MaxBytes against the raw input up front, MaxNodes/MaxDepth at
 // the first node past the limit. Errors are tagged for the lderr
 // taxonomy: syntax failures as ErrParse, limit violations as ErrLimit.
-func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
+func ParseLimited(src string, lim tree.Limits) (*tree.Tree, error) {
+	return parse(src, lim, stripComments, SplitSentences)
+}
+
+// parse is ParseLimited with its comment stripper and sentence splitter
+// passed in, so tests can run the same parser over reference versions of
+// both.
+func parse(src string, lim tree.Limits, strip func(string) string, split func(string) []string) (_ *tree.Tree, err error) {
 	defer func() { err = lderr.TagAs(lderr.ErrParse, err) }()
 	if err := fault.Check(fault.ParseLatex); err != nil {
 		return nil, err
@@ -70,41 +79,63 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 	t.Restrict(lim)
 	defer t.Unrestrict()
 	t.SetRoot(LabelDocument, "")
-	p := &parser{t: t}
-	if err := p.parseBody(stripComments(body)); err != nil {
+	p := &parser{t: t, split: split}
+	if err := p.parseBody(strip(body)); err != nil {
 		return nil, err
 	}
 	p.flushParagraph()
 	return t, nil
 }
 
+// stripComments removes every comment (an unescaped % to the end of its
+// line). A % is escaped only when an odd run of backslashes precedes it:
+// "\\%" is the line break \\ followed by a comment. Text without any %
+// is returned as it is.
 func stripComments(s string) string {
+	if strings.IndexByte(s, '%') < 0 {
+		return s
+	}
 	var b strings.Builder
-	for _, line := range strings.Split(s, "\n") {
-		// A % escaped as \% stays; an unescaped % starts a comment.
-		out := line
-		for i := 0; i < len(out); i++ {
-			if out[i] == '%' && (i == 0 || out[i-1] != '\\') {
-				out = out[:i]
-				break
-			}
-		}
-		b.WriteString(out)
+	b.Grow(len(s) + 1)
+	for rest, more := s, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		b.WriteString(line[:commentStart(line)])
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// commentStart returns the index of the % that starts line's comment, or
+// len(line) when it has none.
+func commentStart(line string) int {
+	backslashes := 0
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case '\\':
+			backslashes++
+			continue
+		case '%':
+			if backslashes%2 == 0 {
+				return i
+			}
+		}
+		backslashes = 0
+	}
+	return len(line)
 }
 
 // parser accumulates document structure while scanning the body line by
 // line.
 type parser struct {
 	t          *tree.Tree
-	section    *tree.Node // current section, nil before the first
-	subsection *tree.Node // current subsection, nil outside one
-	list       *tree.Node // current list, nil outside one
-	listDepth  int        // nesting depth of list environments (flattened)
-	item       *tree.Node // current item, nil outside one
-	textBuf    []string   // pending prose for the current paragraph
+	section    *tree.Node            // current section, nil before the first
+	subsection *tree.Node            // current subsection, nil outside one
+	list       *tree.Node            // current list, nil outside one
+	listDepth  int                   // nesting depth of list environments (flattened)
+	item       *tree.Node            // current item, nil outside one
+	textBuf    []string              // pending prose for the current paragraph
+	split      func(string) []string // the sentence splitter: SplitSentences
 }
 
 // container returns the node new block-level content attaches to.
@@ -124,8 +155,10 @@ func (p *parser) container() *tree.Node {
 var listEnvs = map[string]bool{"itemize": true, "enumerate": true, "description": true}
 
 func (p *parser) parseBody(body string) error {
-	for _, rawLine := range strings.Split(body, "\n") {
-		line := strings.TrimSpace(rawLine)
+	for lines, more := body, true; more; {
+		var line string
+		line, lines, more = strings.Cut(lines, "\n")
+		line = strings.TrimSpace(line)
 		switch {
 		case line == "":
 			p.flushParagraph()
@@ -227,8 +260,8 @@ func (p *parser) flushParagraph() {
 		return
 	}
 	text := strings.Join(p.textBuf, " ")
-	p.textBuf = nil
-	sentences := SplitSentences(text)
+	p.textBuf = p.textBuf[:0]
+	sentences := p.split(text)
 	if len(sentences) == 0 {
 		return
 	}
@@ -249,22 +282,95 @@ func (p *parser) flushParagraph() {
 
 // SplitSentences splits prose into sentences on '.', '!', '?' followed by
 // whitespace or end of text, keeping the terminator with the sentence.
-// Whitespace is normalized to single spaces.
+// Whitespace, as strings.Fields defines it, is normalized to single
+// spaces.
+//
+// The words are found in one pass over text. Each sentence is written
+// once, into its own exact-size string that shares no bytes with text or
+// with another sentence: a sentence kept alive by a stored edit script
+// then holds only its own bytes, not the paragraph it came from.
 func SplitSentences(text string) []string {
-	words := strings.Fields(text)
 	var out []string
-	var cur []string
-	for _, w := range words {
-		cur = append(cur, w)
-		if isSentenceEnd(w) {
-			out = append(out, strings.Join(cur, " "))
-			cur = nil
+	first, size := -1, 0 // the open sentence's first byte and joined length
+	single := true       // every gap inside it so far is one ' '
+	prev := 0            // end of the last word
+	for {
+		ws, we := nextWord(text, prev)
+		if ws == len(text) {
+			break
+		}
+		if first < 0 {
+			first, size, single = ws, we-ws, true
+		} else {
+			size += 1 + we - ws
+			single = single && ws-prev == 1 && text[prev] == ' '
+		}
+		prev = we
+		if isSentenceEnd(text[ws:we]) {
+			out = appendSentence(out, text, first, we, size, single)
+			first = -1
 		}
 	}
-	if len(cur) > 0 {
-		out = append(out, strings.Join(cur, " "))
+	if first >= 0 {
+		out = appendSentence(out, text, first, prev, size, single)
 	}
 	return out
+}
+
+// appendSentence appends the sentence text[first:end], its words joined
+// by single spaces into size bytes. single reports that its gaps already
+// are single spaces, so the span can be copied whole.
+func appendSentence(out []string, text string, first, end, size int, single bool) []string {
+	if out == nil {
+		// Every sentence but the last ends at its own '.', '!' or '?'.
+		rest := text[first:]
+		out = make([]string, 0, 1+strings.Count(rest, ".")+strings.Count(rest, "!")+strings.Count(rest, "?"))
+	}
+	span := text[first:end]
+	if single {
+		return append(out, strings.Clone(span))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for ws, we := nextWord(span, 0); ws < len(span); ws, we = nextWord(span, we) {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(span[ws:we])
+	}
+	return append(out, b.String())
+}
+
+// nextWord returns the bounds of the first word of s at or after i; ws is
+// len(s) when only whitespace is left. Words and whitespace are those of
+// strings.Fields: an invalid UTF-8 byte is a one-byte non-space rune.
+func nextWord(s string, i int) (ws, we int) {
+	for i < len(s) {
+		space, w := spaceAt(s, i)
+		if !space {
+			break
+		}
+		i += w
+	}
+	ws = i
+	for i < len(s) {
+		space, w := spaceAt(s, i)
+		if space {
+			break
+		}
+		i += w
+	}
+	return ws, i
+}
+
+// spaceAt reports whether the rune starting at s[i] is whitespace, and
+// its width in bytes.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return unicode.IsSpace(rune(c)), 1
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), w
 }
 
 func isSentenceEnd(word string) bool {
@@ -278,15 +384,29 @@ func isSentenceEnd(word string) bool {
 	default:
 		return false
 	}
-	// Common abbreviation guard: a single letter or known shorthand
-	// before the period does not end a sentence ("e.g.", "i.e.", "Dr.").
-	trimmed := strings.TrimRight(w, ".!?")
-	lower := strings.ToLower(trimmed)
-	switch lower {
-	case "e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec":
-		return false
+	// Abbreviation guard: known shorthand before the period does not
+	// end a sentence ("e.g.", "i.e.", "Dr.").
+	return !isAbbreviation(strings.TrimRight(w, ".!?"))
+}
+
+// isAbbreviation reports whether strings.ToLower(s) is a shorthand that
+// does not end a sentence, without building the lowered string.
+func isAbbreviation(s string) bool {
+	var lower [3]byte // the longest shorthand
+	n := 0
+	for _, r := range s {
+		r = unicode.ToLower(r)
+		if r >= utf8.RuneSelf || n == len(lower) {
+			return false
+		}
+		lower[n] = byte(r)
+		n++
 	}
-	return true
+	switch string(lower[:n]) {
+	case "e.g", "i.e", "cf", "etc", "vs", "dr", "mr", "mrs", "ms", "fig", "eq", "sec":
+		return true
+	}
+	return false
 }
 
 // bracedArg extracts the {…} argument following the command prefix and

@@ -80,9 +80,17 @@ func DistanceWithin(n, m, maxD int, equal func(i, j int) bool) (int, bool) {
 		maxD = n + m
 	}
 	// One slot of head-room on each side: round d reads diagonals k±1
-	// for k ∈ [-d, d], so the window spans [-maxD−1, maxD+1].
+	// for k ∈ [-d, d], so the window spans [-maxD−1, maxD+1]. Sentence-
+	// size caps fit the stack array, so the matcher's many bounded leaf
+	// compares allocate nothing.
 	offset := maxD + 1
-	v := make([]int, 2*maxD+3)
+	var stack [64]int
+	var v []int
+	if size := 2*maxD + 3; size <= len(stack) {
+		v = stack[:size]
+	} else {
+		v = make([]int, size)
+	}
 	for d := 0; d <= maxD; d++ {
 		for k := -d; k <= d; k += 2 {
 			var x int
@@ -113,35 +121,41 @@ func Indices(n, m int, equal func(i, j int) bool) []IndexPair {
 	if n == 0 || m == 0 {
 		return nil
 	}
-	maxD := n + m
-	// v[k+offset] is the furthest x on diagonal k after the current
-	// d-round. trace keeps, per round, a snapshot of only the active
-	// diagonal window [-d, d] as it stood entering the round (round d−1
-	// wrote at most diagonals ±(d−1), and the backtrack for round d reads
-	// only diagonals within ±d), so total trace space is O(D²) instead of
-	// the O(D·(n+m)) a full-array snapshot per round would cost.
-	offset := maxD
-	v := make([]int, 2*maxD+1)
-	var trace [][]int
-	var dFinal = -1
+	// Round d reads, for each diagonal k ∈ [-d, d], the furthest x reached
+	// on k±1 by round d−1. trace keeps one snapshot per round of that
+	// active window as it stood entering the round (round d−1 wrote at
+	// most diagonals ±(d−1), and the backtrack for round d reads only
+	// diagonals within ±d), so total trace space is O(D²) instead of the
+	// O(D·(n+m)) a full-array snapshot per round would cost. The
+	// snapshots share one flat slice: rounds 0..d−1 hold 1+3+…+(2d−1) =
+	// d² slots, so round d's window starts at offset d², diagonal k at
+	// d²+k+d. Round d works in place on the next window, [-d−1, d+1],
+	// seeded with its own: when the round ends that window is round
+	// d+1's snapshot, so no separate diagonal array is kept. Small
+	// searches stay in the stack array.
+	var stack [256]int
+	trace := stack[:1] // round 0's window: x = 0 on diagonal 0
+	dFinal := -1
 outer:
-	for d := 0; d <= maxD; d++ {
-		snapshot := make([]int, 2*d+1)
-		copy(snapshot, v[offset-d:offset+d+1])
-		trace = append(trace, snapshot)
+	for d := 0; d <= n+m; d++ {
+		trace = append(trace, 0)
+		trace = append(trace, trace[d*d:d*d+2*d+1]...)
+		trace = append(trace, 0)
+		v := trace[(d+1)*(d+1):]
+		off := d + 1 // v[k+off] is the furthest x on diagonal k
 		for k := -d; k <= d; k += 2 {
 			var x int
-			if k == -d || (k != d && v[k-1+offset] < v[k+1+offset]) {
-				x = v[k+1+offset] // move down (insert from b)
+			if k == -d || (k != d && v[k-1+off] < v[k+1+off]) {
+				x = v[k+1+off] // move down (insert from b)
 			} else {
-				x = v[k-1+offset] + 1 // move right (delete from a)
+				x = v[k-1+off] + 1 // move right (delete from a)
 			}
 			y := x - k
 			for x < n && y < m && equal(x, y) {
 				x++
 				y++
 			}
-			v[k+offset] = x
+			v[k+off] = x
 			if x >= n && y >= m {
 				dFinal = d
 				break outer
@@ -154,13 +168,13 @@ outer:
 	}
 
 	// Backtrack through the per-round snapshots, collecting the diagonal
-	// (snake) steps, which are exactly the LCS matches. trace[d] holds the
-	// active window of the v-array as it stood entering round d — the
-	// values round d read — indexed by k+d for diagonal k ∈ [-d, d].
-	var rev []IndexPair
+	// (snake) steps, which are exactly the LCS matches, last first. Round
+	// d's snapshot holds the values round d read, indexed by k+d for
+	// diagonal k ∈ [-d, d]. The LCS has (n+m−D)/2 pairs.
+	rev := make([]IndexPair, 0, (n+m-dFinal)/2)
 	x, y := n, m
 	for d := dFinal; d > 0; d-- {
-		prev := trace[d]
+		prev := trace[d*d : d*d+2*d+1]
 		k := x - y
 		var prevK int
 		if k == -d || (k != d && prev[k-1+d] < prev[k+1+d]) {
@@ -191,11 +205,10 @@ outer:
 		x--
 		y--
 	}
-	out := make([]IndexPair, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
 	}
-	return out
+	return rev
 }
 
 // IndicesDP is a quadratic dynamic-programming LCS used as a correctness

@@ -3,6 +3,7 @@ package match
 import (
 	"sort"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/tree"
 )
 
@@ -28,9 +29,13 @@ func Criterion3Violations(t1, t2 *tree.Tree, opts Options) (oldIDs, newIDs []tre
 		return out
 	}
 	l1, l2 := byLabel(t1), byLabel(t2)
+	distance := mr.opts.Compare
+	if distance == nil {
+		distance = compare.WordLCS
+	}
 	within1 := func(a, b *tree.Node) bool {
 		mr.opts.Stats.LeafCompares++
-		return mr.opts.Compare(a.Value(), b.Value()) <= 1
+		return distance(a.Value(), b.Value()) <= 1
 	}
 	for label, xs := range l1 {
 		ys := l2[label]

@@ -29,27 +29,12 @@ const (
 // Options configures the matching algorithms.
 type Options struct {
 	// Compare measures leaf-value distance in [0,2]. Nil means the
-	// word-LCS sentence comparer LaDiff uses (§7).
+	// word-LCS sentence comparer LaDiff uses (§7), which the matcher runs
+	// in its token form: each node's value is split into words once and
+	// the words are reused across every pairwise comparison, with the
+	// LCS search capped at the leaf threshold
+	// (compare.WordSliceLCSWithin).
 	Compare compare.Func
-	// CompareTokens, when non-nil, is the token form of the comparer:
-	// the same distance over values pre-split by Tokenize. Supplying it
-	// lets the matcher tokenize each node's value once and reuse the
-	// tokens across every pairwise comparison, instead of re-splitting
-	// both strings on every call. When Compare is nil (the default
-	// word-LCS comparer), CompareTokens defaults to its token form
-	// compare.WordSliceLCS automatically; custom comparers opt in by
-	// setting both fields consistently.
-	CompareTokens compare.TokenFunc
-	// CompareTokensWithin, when non-nil, answers "is the token distance
-	// at most limit?" — potentially much cheaper than computing
-	// CompareTokens exactly, e.g. compare.WordSliceLCSWithin caps the
-	// underlying LCS search at the limit. It must agree with
-	// CompareTokens(wa, wb) ≤ limit on every input. Defaults alongside
-	// CompareTokens when Compare is nil.
-	CompareTokensWithin func(wa, wb []string, limit float64) bool
-	// Tokenize splits a value for CompareTokens. Nil means
-	// compare.Words (whitespace splitting).
-	Tokenize func(string) []string
 	// LeafThreshold is f in Matching Criterion 1: leaves may match only
 	// when Compare(v(x), v(y)) ≤ f. Zero means DefaultLeafThreshold;
 	// values must lie in [0,1].
@@ -115,18 +100,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.Compare == nil {
-		o.Compare = compare.WordLCS
-		if o.CompareTokens == nil {
-			o.CompareTokens = compare.WordSliceLCS
-			if o.CompareTokensWithin == nil {
-				o.CompareTokensWithin = compare.WordSliceLCSWithin
-			}
-		}
-	}
-	if o.CompareTokens != nil && o.Tokenize == nil {
-		o.Tokenize = compare.Words
-	}
 	if o.LeafThreshold == 0 {
 		o.LeafThreshold = DefaultLeafThreshold
 	}
@@ -248,7 +221,8 @@ type matcher struct {
 	// here while m serves as the read-only base matching shared by all
 	// of the round's workers. See parallel.go.
 	local *Matching
-	// words1/words2 cache Tokenize(value) per node per tree.
+	// words1/words2 cache compare.Words(value) per node per tree; the
+	// token path runs only when Options.Compare is nil.
 	words1, words2 map[tree.NodeID][]string
 	// leafMemo caches value-rule equality per pair. Value equality
 	// depends only on the two values and the thresholds, never on the
@@ -354,10 +328,13 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		t1: t1, t2: t2,
 		idx1: t1.Index(), idx2: t2.Index(),
 		opts: opts, m: NewMatching(),
-		words1:       make(map[tree.NodeID][]string),
-		words2:       make(map[tree.NodeID][]string),
 		leafMemo:     make(map[pairKey]bool),
 		internalMemo: make(map[pairKey]internalMemoEntry),
+	}
+	if opts.Compare == nil {
+		// The token path splits the value of nearly every leaf once.
+		mr.words1 = make(map[tree.NodeID][]string, mr.idx1.NumLeaves(t1.Root()))
+		mr.words2 = make(map[tree.NodeID][]string, mr.idx2.NumLeaves(t2.Root()))
 	}
 	if opts.WorkBudget > 0 {
 		mr.budget = &atomic.Int64{}
@@ -419,23 +396,19 @@ func (mr *matcher) removeOld(x tree.NodeID) {
 	mr.m.Remove(x)
 }
 
-// valueWithinThreshold evaluates compare(v(x), v(y)) ≤ f through the
-// cheapest available comparer form: the thresholded token comparer (which
-// can stop early), the exact token comparer (which reuses cached tokens),
-// or the plain string comparer.
+// valueWithinThreshold evaluates compare(v(x), v(y)) ≤ f: through the
+// caller's comparer when one is set, otherwise through the word-LCS
+// comparer's token form, which reuses cached words and stops the LCS
+// search once the distance exceeds f.
 func (mr *matcher) valueWithinThreshold(x, y *tree.Node) bool {
 	mr.opts.Stats.EffectiveLeafCompares++
-	switch {
-	case mr.opts.CompareTokensWithin != nil:
-		return mr.opts.CompareTokensWithin(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
-	case mr.opts.CompareTokens != nil:
-		return mr.opts.CompareTokens(mr.tokens(x, true), mr.tokens(y, false)) <= mr.opts.LeafThreshold
-	default:
+	if mr.opts.Compare != nil {
 		return mr.opts.Compare(x.Value(), y.Value()) <= mr.opts.LeafThreshold
 	}
+	return compare.WordSliceLCSWithin(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
 }
 
-// tokens returns the cached token slice for n's value.
+// tokens returns the cached words of n's value.
 func (mr *matcher) tokens(n *tree.Node, inOld bool) []string {
 	cache := mr.words2
 	if inOld {
@@ -444,7 +417,7 @@ func (mr *matcher) tokens(n *tree.Node, inOld bool) []string {
 	if w, ok := cache[n.ID()]; ok {
 		return w
 	}
-	w := mr.opts.Tokenize(n.Value())
+	w := compare.Words(n.Value())
 	cache[n.ID()] = w
 	return w
 }

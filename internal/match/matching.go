@@ -15,6 +15,7 @@ package match
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"ladiff/internal/tree"
@@ -103,12 +104,7 @@ func (m *Matching) Pairs() []Pair {
 
 // Clone returns an independent copy of the matching.
 func (m *Matching) Clone() *Matching {
-	out := NewMatching()
-	for x, y := range m.fwd {
-		out.fwd[x] = y
-		out.rev[y] = x
-	}
-	return out
+	return &Matching{fwd: maps.Clone(m.fwd), rev: maps.Clone(m.rev)}
 }
 
 // Contains reports whether every pair of m is also in other.
