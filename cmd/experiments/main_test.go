@@ -88,7 +88,7 @@ func TestRunQualityPerf(t *testing.T) {
 	qualityPerfSections = []int{1}
 	defer func() { qualityPerfSections = nil }()
 	out := capture(t, runQualityPerf)
-	for _, want := range []string{"cost ratio", "rted", "optimal"} {
+	for _, want := range []string{"cost ratio", "zs", "optimal"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}

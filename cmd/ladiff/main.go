@@ -15,11 +15,11 @@
 //	-t      0.5..1.0          internal match threshold (§5, default 0.6)
 //	-f      0..1              leaf match threshold (§5, default 0.5)
 //	-post                     enable the §8 post-processing repair pass
-//	-engine fast|simple|zs|rted
+//	-engine fast|simple|zs
 //	                          matching engine (§5): FastMatch (default),
-//	                          Algorithm Match, or an optimal edit-mapping
-//	                          oracle (Zhang–Shasha or RTED); not combined
-//	                          with -level, which picks its own engines
+//	                          Algorithm Match, or the Zhang–Shasha
+//	                          optimal edit mapping; not combined with
+//	                          -level, which picks its own engines
 //	-level  -1|0..3           optimality level A(k) (§9); -1 = plain
 //	                          FastMatch pipeline (default)
 //	-query  EXPR              with -out query: delta query, e.g.
@@ -45,7 +45,7 @@
 //	ladiff -out script old.html new.html
 //	ladiff -out summary -t 0.7 old.txt new.txt
 //	ladiff -level 3 -out summary old.tex new.tex
-//	ladiff -engine rted -out summary old.tex new.tex
+//	ladiff -engine zs -out summary old.tex new.tex
 //	ladiff -out query -query "**/sentence[mrk]" old.tex new.tex
 //	ladiff -prune -out summary old.tex new.tex
 //	ladiff -hash old.tex new.tex && echo unchanged
@@ -72,7 +72,7 @@ func main() {
 	tThresh := flag.Float64("t", 0, "internal match threshold t in [0.5,1] (0 = default)")
 	fThresh := flag.Float64("f", 0, "leaf match threshold f in [0,1] (0 = default)")
 	post := flag.Bool("post", false, "enable the §8 post-processing repair pass")
-	engine := flag.String("engine", "", "matching engine: fast (default), simple, zs, or rted")
+	engine := flag.String("engine", "", "matching engine: fast (default), simple, or zs")
 	level := flag.Int("level", -1, "optimality level A(k), 0..3; -1 = plain pipeline")
 	query := flag.String("query", "", "delta query expression for -out query")
 	jsonOut := flag.Bool("json", false, "emit the delta tree as JSON in the ladiffd wire format (overrides -out)")

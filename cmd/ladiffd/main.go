@@ -44,7 +44,7 @@ func main() {
 	maxDepth := flag.Int("max-depth", 0, "max depth per parsed document (0 = 10000)")
 	matchBudget := flag.Int64("match-budget", 0, "match work budget per request in §8 work units (0 = unlimited)")
 	parallelism := flag.Int("match-parallelism", 0, "matcher parallelism per request (0 = 1; serve many requests, not one)")
-	engine := flag.String("engine", "", "matching engine for requests that don't name one: fast (default), simple, zs, or rted")
+	engine := flag.String("engine", "", "matching engine for requests that don't name one: fast (default), simple, or zs")
 	prune := flag.Bool("prune", false, "claim fingerprint-identical subtrees wholesale on every diff (per-request opt-in stays available without it)")
 	cacheEntries := flag.Int("cache", 0, "fingerprint-keyed diff cache capacity in entries (0 = disabled)")
 	maxBatchItems := flag.Int("max-batch-items", 0, "max items per /v1/diff/batch request (0 = 64)")

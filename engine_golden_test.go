@@ -12,10 +12,10 @@ import (
 
 // engineGolden pins one workload class's default-engine run: SHA-256 of
 // the three output encodings plus the exact logical and effective work
-// counters. The values were captured from the pre-engine-refactor
-// pipeline (PR 6 head) at seed 601; the engine registry must reproduce
-// them byte for byte and bit for bit, because the default FastMatch
-// path is contractually unchanged by the refactor.
+// counters. The values were captured from the pipeline before matcher
+// engines became selectable, at seed 601; engine dispatch must
+// reproduce them byte for byte and bit for bit, because the default
+// FastMatch path is contractually unchanged by engine selection.
 type engineGolden struct {
 	class  string
 	script string

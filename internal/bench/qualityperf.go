@@ -16,7 +16,6 @@ import (
 	"ladiff/internal/edit"
 	"ladiff/internal/gen"
 	"ladiff/internal/match"
-	"ladiff/internal/rted"
 	"ladiff/internal/tree"
 	"ladiff/internal/zs"
 )
@@ -75,7 +74,7 @@ type QualityPerfRow struct {
 	// ScriptCost is the script priced under the aligned model.
 	ScriptCost float64 `json:"script_cost"`
 	// OptimalCost is the true optimal edit distance of the pair
-	// (internal/rted under the aligned oracle costs).
+	// (zs.Distance under the aligned oracle costs).
 	OptimalCost float64 `json:"optimal_cost"`
 	// CostRatio is ScriptCost / OptimalCost: 1.0 = optimal. See the
 	// move caveat on CollectQualityPerf for ratios below 1.
@@ -93,37 +92,61 @@ type QualityPerfReport struct {
 
 // qualityEngines is the frontier's engine axis, cheapest first.
 func qualityEngines() []core.Matcher {
-	return []core.Matcher{core.FastMatcher, core.SimpleMatcher, core.ZSMatcher, core.RTEDMatcher}
+	return []core.Matcher{core.FastMatcher, core.SimpleMatcher, core.ZSMatcher}
 }
 
-// qualityClasses is the frontier's workload axis: the standard battery
-// classes plus the shared gen.Sections size sweep. The sparse-1pct
-// class is scaled from ~224 to 8 sections (the edit rate kept at ~1%)
-// so the optimal oracle stays tractable — the full-size class exists to
-// stress the fingerprint ladder, not the matchers, and at ~5000 nodes
-// the O(n²)-and-up oracles would dominate the whole harness.
-func qualityClasses(sections []int) []gen.Class {
-	var out []gen.Class
+// qualityPair is one workload of the frontier: a named old/new pair.
+type qualityPair struct {
+	name     string
+	old, new *tree.Tree
+}
+
+// qualityPairs is the frontier's workload axis: the standard battery
+// classes, the shared gen.Sections size sweep, and two right-deep combs
+// (101 and 201 nodes per tree), the shape on which Zhang–Shasha's
+// leftmost-path decomposition is at its worst. The sparse-1pct class is
+// scaled from ~224 to 8 sections (the edit rate kept at ~1%) so the
+// optimal oracle stays tractable — the full-size class exists to stress
+// the fingerprint ladder, not the matchers, and at ~5000 nodes the
+// O(n²)-and-up oracle would dominate the whole harness.
+func qualityPairs(sections []int) ([]qualityPair, error) {
+	var classes []gen.Class
 	for _, c := range gen.Classes() {
 		if c.Name == "sparse-1pct" {
 			c.Name = "sparse-1pct-s8"
 			c.Doc.Sections = 8
 			c.Pert = func(seed int64) gen.PerturbParams { return gen.Mix(seed, 2) }
 		}
-		out = append(out, c)
+		classes = append(classes, c)
 	}
 	for _, n := range sections {
-		out = append(out, gen.Sections(n))
+		classes = append(classes, gen.Sections(n))
 	}
-	return out
+	var out []qualityPair
+	for _, c := range classes {
+		dp := c.Doc
+		if dp.Seed == 0 {
+			dp.Seed = 1501
+		}
+		doc := gen.Document(dp)
+		pert, err := gen.Perturb(doc, c.Pert(dp.Seed+1))
+		if err != nil {
+			return nil, fmt.Errorf("bench: qualityperf %s: %w", c.Name, err)
+		}
+		out = append(out, qualityPair{c.Name, doc, pert.New})
+	}
+	for _, leaves := range []int{50, 100} {
+		old, new := gen.RightCombPair(1601, leaves)
+		out = append(out, qualityPair{fmt.Sprintf("right-comb-%d", old.Len()), old, new})
+	}
+	return out, nil
 }
 
 // CollectQualityPerf measures the quality/runtime frontier (E14): for
-// every registered matching engine × workload class, the wall-clock of
-// a full Diff and the script cost relative to the true optimum
-// (internal/rted under the aligned pricing). reps ≤ 0 means 3;
-// sections nil means the standard {1, 2, 4, 8} sweep (pass an empty
-// non-nil slice to skip the sweep).
+// every matching engine × workload, the wall-clock of a full Diff and
+// the script cost relative to the true optimum (zs.Distance under the
+// aligned pricing). reps ≤ 0 means 3; sections nil means the standard
+// {1, 2, 4, 8} sweep (pass an empty non-nil slice to skip the sweep).
 //
 // Move caveat: scripts price a move at 1, but the oracle's [ZS89]
 // operation set has no move and must express one as delete+insert
@@ -145,38 +168,33 @@ func CollectQualityPerf(reps int, sections []int) (*QualityPerfReport, error) {
 		MoveCaveat: "the oracle op set has no move (a move prices as delete+insert = 2), so move-heavy ratios can sit below 1.0",
 	}
 	model := alignedScriptModel()
-	for _, c := range qualityClasses(sections) {
-		dp := c.Doc
-		if dp.Seed == 0 {
-			dp.Seed = 1501
-		}
-		doc := gen.Document(dp)
-		pert, err := gen.Perturb(doc, c.Pert(dp.Seed + 1))
+	pairs, err := qualityPairs(sections)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pairs {
+		optimal, err := zs.Distance(p.old, p.new, alignedOracleCosts())
 		if err != nil {
-			return nil, fmt.Errorf("bench: qualityperf %s: %w", c.Name, err)
-		}
-		optimal, err := rted.Distance(doc, pert.New, alignedOracleCosts())
-		if err != nil {
-			return nil, fmt.Errorf("bench: qualityperf %s oracle: %w", c.Name, err)
+			return nil, fmt.Errorf("bench: qualityperf %s oracle: %w", p.name, err)
 		}
 		for _, m := range qualityEngines() {
 			var res *core.Result
 			ns := make([]int64, 0, reps)
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				res, err = core.Diff(doc, pert.New, core.Options{Matcher: m})
+				res, err = core.Diff(p.old, p.new, core.Options{Matcher: m})
 				if err != nil {
-					return nil, fmt.Errorf("bench: qualityperf %s/%s: %w", c.Name, m.EngineName(), err)
+					return nil, fmt.Errorf("bench: qualityperf %s/%s: %w", p.name, m.EngineName(), err)
 				}
 				ns = append(ns, time.Since(start).Nanoseconds())
 			}
 			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 			cost := model.Cost(res.Script)
 			row := QualityPerfRow{
-				Class:       c.Name,
+				Class:       p.name,
 				Engine:      m.EngineName(),
-				OldNodes:    doc.Len(),
-				NewNodes:    pert.New.Len(),
+				OldNodes:    p.old.Len(),
+				NewNodes:    p.new.Len(),
 				NsPerOp:     ns[len(ns)/2],
 				ScriptOps:   len(res.Script),
 				ScriptCost:  cost,

@@ -27,6 +27,8 @@ func TestQualityPerfFastRatioPinned(t *testing.T) {
 		"insert-delete-heavy": 2.00,
 		"update-heavy":        1.39,
 		"sparse-1pct-s8":      1.00,
+		"right-comb-101":      4.11,
+		"right-comb-201":      1.77,
 	}
 	seen := map[string]bool{}
 	for _, r := range report.Rows {
@@ -43,13 +45,13 @@ func TestQualityPerfFastRatioPinned(t *testing.T) {
 			if math.Abs(r.CostRatio-pin) > 0.02 {
 				t.Errorf("%s: fast cost ratio = %.3f, pinned %.2f", r.Class, r.CostRatio, pin)
 			}
-		case "rted":
+		case "zs":
 			// On move-free workloads the optimal-mapping engine must hit
 			// the oracle exactly — §8's "A(3) gap stays at 1.0".
 			switch r.Class {
 			case "insert-delete-heavy", "update-heavy", "sparse-1pct-s8":
 				if r.CostRatio != 1 {
-					t.Errorf("%s: rted cost ratio = %.3f, want exactly 1.0", r.Class, r.CostRatio)
+					t.Errorf("%s: zs cost ratio = %.3f, want exactly 1.0", r.Class, r.CostRatio)
 				}
 			}
 		}

@@ -9,18 +9,12 @@ import (
 	"ladiff/internal/lderr"
 	"ladiff/internal/match"
 	"ladiff/internal/obs"
-	// Registers the "rted" engine with the match registry; core is the
-	// lowest layer every consumer of engine selection goes through, so
-	// importing it here makes the full engine set available to the CLIs,
-	// the server, and library callers alike.
-	_ "ladiff/internal/rted"
 	"ladiff/internal/tree"
 )
 
-// Matcher selects the Good Matching engine used by Diff. Each value
-// names an engine in the internal/match registry; MatcherByName maps
-// the wire/flag spellings ("fast", "simple", "zs", "rted") back to
-// enum values.
+// Matcher selects the Good Matching engine used by Diff. MatcherByName
+// maps the wire/flag spellings ("fast", "simple", "zs") back to enum
+// values.
 type Matcher int
 
 const (
@@ -38,18 +32,10 @@ const (
 	// thorough-but-expensive end of the paper's §2 trade-off. Use it on
 	// small trees or when Criterion 3 is badly violated.
 	ZSMatcher
-	// RTEDMatcher derives the matching from a true optimal edit mapping
-	// computed with the robust shape-adaptive decomposition of
-	// Pawlik–Augsten (internal/rted): the strategy DP picks a left,
-	// right, or heavy root-leaf path per subtree pair, so the worst
-	// case stays O(n³) instead of ZS's O(n⁴) on deep-skewed shapes.
-	// Same cost model and same optimality guarantee as ZSMatcher —
-	// use it as the quality oracle on trees too large for ZS.
-	RTEDMatcher
 )
 
-// EngineName returns the matcher's name in the internal/match engine
-// registry ("" for an unknown enum value).
+// EngineName returns the matcher's name as spelled in `-engine` flags
+// and the server's "matcher" field ("" for an unknown enum value).
 func (m Matcher) EngineName() string {
 	switch m {
 	case FastMatcher:
@@ -58,8 +44,6 @@ func (m Matcher) EngineName() string {
 		return "simple"
 	case ZSMatcher:
 		return "zs"
-	case RTEDMatcher:
-		return "rted"
 	}
 	return ""
 }
@@ -76,15 +60,13 @@ func MatcherByName(name string) (Matcher, bool) {
 		return SimpleMatcher, true
 	case "zs":
 		return ZSMatcher, true
-	case "rted":
-		return RTEDMatcher, true
 	}
 	return 0, false
 }
 
-// EngineNames returns the registered engine names, sorted — the legal
-// values for `-engine` flags and the server's "matcher" field.
-func EngineNames() []string { return match.Engines() }
+// EngineNames returns the engine names, sorted — the legal values for
+// `-engine` flags and the server's "matcher" field.
+func EngineNames() []string { return []string{"fast", "simple", "zs"} }
 
 // Options configures the end-to-end Diff pipeline.
 type Options struct {
@@ -115,11 +97,12 @@ type Options struct {
 // EditScript (§4). Neither input tree is modified.
 //
 // When Options.Match.WorkBudget is set and the selected matcher (Match
-// or the Zhang–Shasha route) exhausts it, Diff degrades instead of
-// failing: it reruns the cheap FastMatch unbudgeted and marks the
-// result Degraded with the reason recorded in DegradedReasons. Budget
-// exhaustion under FastMatcher itself has no cheaper fallback and
-// surfaces as an lderr.ErrDegraded-tagged error.
+// or the Zhang–Shasha route) exhausts it, or the Zhang–Shasha route
+// would exceed its table bound, Diff degrades instead of failing: it
+// reruns the cheap FastMatch unbudgeted and marks the result Degraded
+// with the reason recorded in DegradedReasons. Budget exhaustion under
+// FastMatcher itself has no cheaper fallback and surfaces as an
+// lderr.ErrDegraded-tagged error.
 func Diff(old, new *tree.Tree, opts Options) (_ *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -167,7 +150,8 @@ func Diff(old, new *tree.Tree, opts Options) (_ *Result, err error) {
 
 // MatchWithFallback runs the selected matcher with the degradation
 // ladder Diff uses: when a budgeted Match or ZSMatcher run exhausts its
-// work budget (an lderr.ErrDegraded-tagged failure), the matching is
+// work budget, or a ZSMatcher run would exceed its table bound (an
+// lderr.ErrDegraded-tagged failure either way), the matching is
 // recomputed with the cheap FastMatch, unbudgeted, and the returned
 // reasons slice records the fallback (empty for a clean run). FastMatch
 // itself has no cheaper fallback, so its budget exhaustion propagates
@@ -214,15 +198,18 @@ func MatchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options)
 }
 
 func matchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options) (*match.Matching, []string, error) {
-	engName := matcher.EngineName()
-	if engName == "" {
+	var m *match.Matching
+	var err error
+	switch matcher {
+	case FastMatcher:
+		m, err = match.FastMatch(old, new, opts)
+	case SimpleMatcher:
+		m, err = match.Match(old, new, opts)
+	case ZSMatcher:
+		m, err = match.ZSMatch(old, new, opts)
+	default:
 		return nil, nil, fmt.Errorf("core: unknown matcher %d", matcher)
 	}
-	eng, ok := match.EngineByName(engName)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: matching engine %q not registered", engName)
-	}
-	m, err := eng.Match(old, new, opts)
 	if err == nil {
 		return m, nil, nil
 	}
@@ -237,15 +224,16 @@ func matchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options)
 	if ferr != nil {
 		return nil, nil, fmt.Errorf("core: matching: %w", ferr)
 	}
-	reason := fmt.Sprintf("match: %s exceeded work budget %d; fell back to fastmatch",
-		fallbackReasonName(matcher), opts.WorkBudget)
-	return m, []string{reason}, nil
+	reason := fmt.Sprintf("match: %s exceeded work budget %d", fallbackReasonName(matcher), opts.WorkBudget)
+	if errors.Is(err, match.ErrZSTableBound) {
+		reason = err.Error()
+	}
+	return m, []string{reason + "; fell back to fastmatch"}, nil
 }
 
 // fallbackReasonName spells the matcher in degraded-reason strings.
-// SimpleMatcher keeps the paper's algorithm name "match" — the spelling
-// the pre-registry fallback ladder used — so operator-facing reasons
-// stay stable across the engine refactor.
+// SimpleMatcher keeps the paper's algorithm name "match", so
+// operator-facing reasons stay stable.
 func fallbackReasonName(m Matcher) string {
 	if m == SimpleMatcher {
 		return "match"

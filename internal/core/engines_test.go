@@ -1,14 +1,18 @@
 package core_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ladiff/internal/core"
 	"ladiff/internal/gen"
 	"ladiff/internal/lderr"
 	"ladiff/internal/match"
+	"ladiff/internal/tree"
 )
 
 // enginePropertyClasses are the workload classes the per-engine
@@ -27,7 +31,7 @@ func enginePropertyClasses() []gen.Class {
 	return out
 }
 
-// TestEngineProperties runs every registered matching engine over the
+// TestEngineProperties runs every matching engine over the
 // property classes and checks the engine contract: the matching is a
 // valid bijection (injective both ways, nodes exist, labels agree),
 // the roots are matched to each other, and the full pipeline's script
@@ -49,7 +53,7 @@ func TestEngineProperties(t *testing.T) {
 			for _, name := range core.EngineNames() {
 				matcher, ok := core.MatcherByName(name)
 				if !ok {
-					t.Fatalf("registered engine %q has no Matcher value", name)
+					t.Fatalf("engine %q has no Matcher value", name)
 				}
 				m, reasons, err := core.MatchWithFallback(doc, pert.New, matcher, match.Options{})
 				if err != nil {
@@ -117,7 +121,7 @@ func TestEngineBudgetFallback(t *testing.T) {
 			t.Fatalf("%s: reasons = %v, want exactly one", name, reasons)
 		}
 		// SimpleMatcher keeps the paper's name "match" in reasons; the
-		// registry engines report under their own names.
+		// other engines report under their own names.
 		wantName := name
 		if name == "simple" {
 			wantName = "match"
@@ -129,5 +133,65 @@ func TestEngineBudgetFallback(t *testing.T) {
 		if err := m.Validate(doc, pert.New); err != nil {
 			t.Errorf("%s: fallback matching invalid: %v", name, err)
 		}
+	}
+}
+
+// TestZSTableBoundFallback: with no work budget, a zs pair whose
+// tree-distance table would pass 2^26 cells (two 8193-node stars) must
+// degrade to FastMatch before allocating it, with a reason naming the
+// bound rather than a work budget of 0.
+func TestZSTableBoundFallback(t *testing.T) {
+	star := func(edit int) *tree.Tree {
+		tr := tree.NewWithRoot("r", "")
+		for i := 0; i < 8192; i++ {
+			v := fmt.Sprint("sentence ", i)
+			if i == edit {
+				v += " edited"
+			}
+			tr.AppendChild(tr.Root(), "s", v)
+		}
+		return tr
+	}
+	old, new := star(-1), star(4000)
+	m, reasons, err := core.MatchWithFallback(old, new, core.ZSMatcher, match.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reasons) != 1 || !strings.Contains(reasons[0], "cell bound") ||
+		!strings.Contains(reasons[0], fmt.Sprint(1<<26)) || !strings.Contains(reasons[0], "fell back to fastmatch") {
+		t.Fatalf("reasons = %q, want one naming the 2^26-cell table bound", reasons)
+	}
+	if err := m.Validate(old, new); err != nil {
+		t.Fatalf("fallback matching invalid: %v", err)
+	}
+}
+
+// TestZSMatcherHonoursDeadline: the zs engine polls Options.Ctx, so a
+// pair that needs well over half a second (a zigzag spine, which stays
+// in left order) fails with DeadlineExceeded soon after a 50 ms
+// deadline instead of running to completion.
+func TestZSMatcherHonoursDeadline(t *testing.T) {
+	zig := tree.NewWithRoot("s", "")
+	spine := zig.Root()
+	for d := 0; d < 120; d++ {
+		if d%2 == 0 {
+			zig.AppendChild(spine, "l", fmt.Sprint(d))
+			spine = zig.AppendChild(spine, "s", "")
+		} else {
+			next := zig.AppendChild(spine, "s", "")
+			zig.AppendChild(spine, "l", fmt.Sprint(d))
+			spine = next
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := core.DiffContext(ctx, zig, zig.Clone(), core.Options{Matcher: core.ZSMatcher})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, lderr.ErrCanceled) {
+		t.Fatalf("err = %v, want a cancelled DeadlineExceeded", err)
+	}
+	if elapsed > 400*time.Millisecond {
+		t.Errorf("aborted after %v, want soon after the 50ms deadline", elapsed)
 	}
 }

@@ -1,6 +1,12 @@
 package gen
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+
+	"ladiff/internal/tree"
+)
 
 // Class is one named workload: a document shape crossed with a
 // perturbation recipe. The differential batteries (observability
@@ -100,4 +106,56 @@ func SparseDoc() DocParams {
 // standard Mix recipe at 40 operations against ≈ 4000 sentences.
 func SparsePert(seed int64) PerturbParams {
 	return Mix(seed, 40)
+}
+
+// RightCombPair returns a seeded pair of right-deep combs of the given
+// number of sentences (2·leaves+1 nodes each): every spine paragraph
+// holds a sentence as its first child and the next spine paragraph as
+// its last. Each spine node then has a left sibling, the worst case of
+// Zhang–Shasha's leftmost-path decomposition (every spine node is a
+// keyroot, so the left-order DP area grows as n⁴), while mirrored
+// sibling order walks the spine as one path. The new comb rewrites a
+// word in about a tenth of the sentences, deletes one and inserts
+// another. The
+// pair is deliberately not in Classes(): the document batteries and
+// the benchmark corpus keep their shapes.
+func RightCombPair(seed int64, leaves int) (old, new *tree.Tree) {
+	rng := rand.New(rand.NewSource(seed))
+	sentence := func() string {
+		words := make([]string, 6+rng.Intn(9))
+		for i := range words {
+			words[i] = word(rng, 600)
+		}
+		return strings.Join(words, " ")
+	}
+	values := make([]string, leaves)
+	for i := range values {
+		values[i] = sentence()
+	}
+	old = rightComb(values)
+	for i := 0; i < leaves/10; i++ {
+		k := rng.Intn(leaves)
+		words := strings.Fields(values[k])
+		words[rng.Intn(len(words))] = word(rng, 600)
+		values[k] = strings.Join(words, " ")
+	}
+	if leaves > 0 {
+		k := rng.Intn(leaves)
+		values = append(values[:k], values[k+1:]...)
+		k = rng.Intn(len(values) + 1)
+		values = append(values[:k], append([]string{sentence()}, values[k:]...)...)
+	}
+	return old, rightComb(values)
+}
+
+// rightComb builds the right-deep comb holding values as its sentences,
+// top to bottom.
+func rightComb(values []string) *tree.Tree {
+	t := tree.NewWithRoot(LabelParagraph, "")
+	spine := t.Root()
+	for _, v := range values {
+		t.AppendChild(spine, LabelSentence, v)
+		spine = t.AppendChild(spine, LabelParagraph, "")
+	}
+	return t
 }

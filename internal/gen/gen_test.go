@@ -158,3 +158,25 @@ func TestPerturbEmptyTree(t *testing.T) {
 		t.Fatal("expected error perturbing empty tree")
 	}
 }
+
+func TestRightCombPair(t *testing.T) {
+	old, new := gen.RightCombPair(7, 30)
+	again, _ := gen.RightCombPair(7, 30)
+	if !tree.Isomorphic(old, again) {
+		t.Fatal("same seed must generate identical combs")
+	}
+	for _, c := range []*tree.Tree{old, new} {
+		if c.Len() != 61 {
+			t.Fatalf("comb has %d nodes, want 2·30+1", c.Len())
+		}
+		// Right-deep: every spine node ends in the next spine node.
+		for n := c.Root(); !n.IsLeaf(); n = n.Child(2) {
+			if n.NumChildren() != 2 || n.Child(1).Label() != gen.LabelSentence {
+				t.Fatalf("spine node %v is not a sentence followed by the spine", n)
+			}
+		}
+	}
+	if tree.Isomorphic(old, new) {
+		t.Fatal("the new comb is unedited")
+	}
+}

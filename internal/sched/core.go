@@ -27,8 +27,8 @@ import (
 // busy and the wait queue at capacity — the load-shedding signal
 // callers turn into 429 + Retry-After. Bounding the queue keeps latency
 // honest under overload: a unit that cannot start soon is told to back
-// off now rather than time out later (the RTED lesson: worst-case
-// inputs must not silently pile up behind the common case).
+// off now rather than time out later (worst-case inputs must not
+// silently pile up behind the common case).
 var ErrQueueFull = errors.New("sched: admission queue full")
 
 // ErrDraining reports that the core refused new work because drain has

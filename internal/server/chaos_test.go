@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -291,21 +292,21 @@ func TestChaosDegradedBudgetFallback(t *testing.T) {
 	}
 }
 
-// TestChaosDegradedRTEDBudgetFallback starves the work budget under
-// the optimal "rted" engine: its quadratic pre-gate must trip before
+// TestChaosDegradedZSBudgetFallback starves the work budget under
+// the optimal "zs" engine: its quadratic pre-gate must trip before
 // any DP work happens, and the core fallback ladder must answer with
 // an unbudgeted FastMatch run — 200, marked degraded with a reason
 // naming the engine, script still correct, degraded_total counting it.
-func TestChaosDegradedRTEDBudgetFallback(t *testing.T) {
+func TestChaosDegradedZSBudgetFallback(t *testing.T) {
 	s, ts, done := chaosServer(t, Config{MatchWorkBudget: 1})
 	defer done()
 
 	pair := diffPairs["tree"]
 	status, body, _ := postJSON(t, ts, "/v1/diff", DiffRequest{
-		Old: pair[0], New: pair[1], Format: "tree", Matcher: "rted",
+		Old: pair[0], New: pair[1], Format: "tree", Matcher: "zs",
 	})
 	if status != http.StatusOK {
-		t.Fatalf("budget-starved rted diff: status %d, want 200 (degraded): %s", status, body)
+		t.Fatalf("budget-starved zs diff: status %d, want 200 (degraded): %s", status, body)
 	}
 	var resp DiffResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
@@ -318,12 +319,12 @@ func TestChaosDegradedRTEDBudgetFallback(t *testing.T) {
 	// misbehaving -engine default is diagnosable from response bodies.
 	found := false
 	for _, r := range resp.DegradedReasons {
-		if strings.Contains(r, "rted") && strings.Contains(r, "fastmatch") {
+		if strings.Contains(r, "zs exceeded") && strings.Contains(r, "fastmatch") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("degraded reasons %v do not name the rted→fastmatch ladder", resp.DegradedReasons)
+		t.Errorf("degraded reasons %v do not name the zs→fastmatch ladder", resp.DegradedReasons)
 	}
 
 	oldT, err := ladiff.ParseTree(pair[0])
@@ -359,23 +360,105 @@ func TestChaosDegradedRTEDBudgetFallback(t *testing.T) {
 	s2, ts2, done2 := chaosServer(t, Config{MatchWorkBudget: 1 << 20})
 	defer done2()
 	status, body, _ = postJSON(t, ts2, "/v1/diff", DiffRequest{
-		Old: pair[0], New: pair[1], Format: "tree", Matcher: "rted",
+		Old: pair[0], New: pair[1], Format: "tree", Matcher: "zs",
 	})
 	if status != http.StatusOK {
-		t.Fatalf("budgeted rted diff: status %d: %s", status, body)
+		t.Fatalf("budgeted zs diff: status %d: %s", status, body)
 	}
 	var full DiffResponse
 	if err := json.Unmarshal(body, &full); err != nil {
 		t.Fatal(err)
 	}
 	if full.Degraded || len(full.DegradedReasons) != 0 {
-		t.Errorf("ample-budget rted run degraded: %v", full.DegradedReasons)
+		t.Errorf("ample-budget zs run degraded: %v", full.DegradedReasons)
 	}
 	if got := s2.Metrics().Degraded.Load(); got != 0 {
 		t.Errorf("degraded_total = %d on the ample-budget server, want 0", got)
 	}
 	if len(full.Script) > len(resp.Script) {
 		t.Errorf("optimal engine produced %d ops, degraded fallback %d", len(full.Script), len(resp.Script))
+	}
+}
+
+// TestChaosZSDeadline: the zs engine polls the request context, so a
+// zigzag pair that needs most of a second of DP answers 504 soon after
+// its 100 ms timeout instead of at generation, and frees its slot.
+func TestChaosZSDeadline(t *testing.T) {
+	s, ts, done := chaosServer(t, Config{})
+	defer done()
+
+	zigzag := func(edit int) string {
+		tr := ladiff.NewTreeWithRoot("s", "")
+		spine := tr.Root()
+		for d := 0; d < 120; d++ {
+			v := fmt.Sprint("leaf ", d)
+			if d == edit {
+				v += " edited"
+			}
+			if d%2 == 0 {
+				tr.AppendChild(spine, "l", v)
+				spine = tr.AppendChild(spine, "s", "")
+			} else {
+				next := tr.AppendChild(spine, "s", "")
+				tr.AppendChild(spine, "l", v)
+				spine = next
+			}
+		}
+		return tr.String()
+	}
+	start := time.Now()
+	status, body, _ := postJSON(t, ts, "/v1/diff", DiffRequest{
+		Old: zigzag(-1), New: zigzag(60), Format: "tree", Matcher: "zs", TimeoutMs: 100,
+	})
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %.200s", status, body)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("504 after %v, want soon after the 100ms timeout", elapsed)
+	}
+	if got := s.Metrics().InFlight.Load(); got != 0 {
+		t.Errorf("in_flight = %d after the timeout, want 0", got)
+	}
+}
+
+// TestChaosZSTableBound: the default work budget of 0 turns the
+// quadratic pre-gate off, yet a zs request whose table would pass 2^26
+// cells (two 8193-node trees) must still answer 200, degraded to
+// FastMatch, with a reason naming the table bound.
+func TestChaosZSTableBound(t *testing.T) {
+	s, ts, done := chaosServer(t, Config{})
+	defer done()
+
+	star := func(edit int) string {
+		var b strings.Builder
+		b.WriteString("doc\n")
+		for i := 0; i < 8192; i++ {
+			fmt.Fprintf(&b, "  s \"sentence %d", i)
+			if i == edit {
+				b.WriteString(" edited")
+			}
+			b.WriteString("\"\n")
+		}
+		return b.String()
+	}
+	status, body, _ := postJSON(t, ts, "/v1/diff", DiffRequest{
+		Old: star(-1), New: star(4000), Format: "tree", Matcher: "zs",
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200 (degraded): %.200s", status, body)
+	}
+	var resp DiffResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Degraded || len(resp.DegradedReasons) != 1 ||
+		!strings.Contains(resp.DegradedReasons[0], fmt.Sprint(1<<26)) ||
+		!strings.Contains(resp.DegradedReasons[0], "fell back to fastmatch") {
+		t.Fatalf("degraded = %v, reasons %q: want one naming the table bound", resp.Degraded, resp.DegradedReasons)
+	}
+	if got := s.Metrics().Degraded.Load(); got != 1 {
+		t.Errorf("degraded_total = %d, want 1", got)
 	}
 }
 

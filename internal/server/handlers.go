@@ -31,11 +31,10 @@ type DiffRequest struct {
 	InternalThreshold float64 `json:"internalThreshold,omitempty"`
 	// Matcher selects the matching engine: "fast" (the default, unless
 	// the server is configured with another DefaultEngine), "simple"
-	// (the quadratic Match), "zs" (Zhang–Shasha best matching), or
-	// "rted" (the optimal-strategy edit-mapping oracle). Under a
-	// configured match work budget, non-"fast" requests that exhaust
-	// the budget fall back to "fast" and the response is marked
-	// degraded.
+	// (the quadratic Match), or "zs" (Zhang–Shasha best matching).
+	// Non-"fast" requests that exhaust a configured match work budget,
+	// or "zs" requests past its table bound, fall back to "fast" and
+	// the response is marked degraded.
 	Matcher string `json:"matcher,omitempty"`
 	// Prune opts this request into the fingerprint ladder: the Merkle
 	// identical-subtree pruning pass before the label rounds and the

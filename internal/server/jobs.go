@@ -16,7 +16,7 @@ import (
 // JobSubmitRequest is the body of POST /v1/jobs/diff: a full
 // DiffRequest plus delivery options. The diff runs asynchronously —
 // the response is 202 with a job ID to poll — which is the right shape
-// for the optimal-quality engines ("rted" on large inputs runs seconds)
+// for the optimal-quality engine ("zs" on large inputs runs seconds)
 // where holding the connection open would just trade a 504 for a
 // retry storm.
 type JobSubmitRequest struct {

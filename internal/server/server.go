@@ -57,8 +57,8 @@ type Config struct {
 	// beats parallelism within one.
 	MatchParallelism int
 	// DefaultEngine is the matching engine used when a request does not
-	// name one in its "matcher" field: "fast", "simple", "zs", or
-	// "rted". Empty means "fast". An unknown name is replaced with
+	// name one in its "matcher" field: "fast", "simple", or "zs".
+	// Empty means "fast". An unknown name is replaced with
 	// "fast" by New (a misconfigured default must not brick every
 	// request); explicit per-request names are still validated strictly.
 	DefaultEngine string

@@ -1,7 +1,8 @@
 package zs
 
 import (
-	"errors"
+	"context"
+	"sort"
 
 	"ladiff/internal/tree"
 )
@@ -13,8 +14,9 @@ type MapPair struct {
 }
 
 // Mapping computes an optimal [ZS89] edit mapping between t1 and t2 under
-// the given costs, returning the aligned node pairs and the distance.
-// The mapping is the certificate behind the distance: nodes of t1 outside
+// the given costs, returning the aligned node pairs in post-order of t1
+// (and so of t2: a mapping preserves order) and the distance. The
+// mapping is the certificate behind the distance: nodes of t1 outside
 // the mapping are deleted, nodes of t2 outside it inserted, and every
 // pair either matches exactly or is relabeled.
 //
@@ -26,88 +28,73 @@ type MapPair struct {
 // core.ZSMatcher).
 //
 // Backtracking recomputes forest-distance tables on demand (one per
-// visited subtree pair), so memory stays at one table at a time beyond
-// the O(n1·n2) tree-distance table the forward pass fills.
-func Mapping(t1, t2 *tree.Tree, c Costs) ([]MapPair, float64, error) {
-	if t1 == nil || t2 == nil || t1.Root() == nil || t2.Root() == nil {
-		return nil, 0, errors.New("zs: mapping requires two non-empty trees")
+// visited subtree pair) beyond the O(n1·n2) tree-distance table the
+// forward pass fills. A non-nil ctx bounds the run: it is polled once
+// per keyroot of t1 in the forward pass and once per table backtracking
+// recomputes, and a cancelled or expired ctx aborts with ctx.Err()
+// wrapped.
+func Mapping(ctx context.Context, t1, t2 *tree.Tree, c Costs) ([]MapPair, float64, error) {
+	if err := check(t1, t2, c); err != nil {
+		return nil, 0, err
 	}
-	if c.Insert == nil || c.Delete == nil || c.Relabel == nil {
-		return nil, 0, errors.New("zs: all three cost functions are required")
+	o1, o2 := layout(t1, t2)
+	s, err := newSolver(ctx, o1, o2, c)
+	if err != nil {
+		return nil, 0, err
 	}
-	o1, o2 := prepare(t1), prepare(t2)
-	n1, n2 := len(o1.nodes), len(o2.nodes)
-	td := make([][]float64, n1+1)
-	for i := range td {
-		td[i] = make([]float64, n2+1)
+	out, err := s.mapping()
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, i := range o1.keyroots {
-		for _, j := range o2.keyroots {
-			treeDist(o1, o2, i, j, c, td)
+	if o1.mirrored {
+		rank := make(map[*tree.Node]int, len(o1.nodes))
+		for i, n := range t1.PostOrder() {
+			rank[n] = i
 		}
+		sort.Slice(out, func(a, b int) bool { return rank[out[a].Old] < rank[out[b].Old] })
 	}
+	return out, s.distance(), nil
+}
+
+// mapping backtracks one optimal mapping, in the post-order of the
+// solver's layout.
+func (s *solver) mapping() ([]MapPair, error) {
 	var out []MapPair
-	backtrack(o1, o2, n1, n2, c, td, &out)
+	if err := s.backtrack(len(s.o1.nodes), len(s.o2.nodes), &out); err != nil {
+		return nil, err
+	}
 	// Reverse into post-order (backtrack walks right-to-left).
 	for a, b := 0, len(out)-1; a < b; a, b = a+1, b-1 {
 		out[a], out[b] = out[b], out[a]
 	}
-	return out, td[n1][n2], nil
-}
-
-// forestTable recomputes the forest-distance table anchored at subtree
-// roots (i, j), identical to treeDist's DP but retained for backtracking.
-func forestTable(o1, o2 *ordered, i, j int, c Costs, td [][]float64) [][]float64 {
-	li, lj := o1.leftmost[i-1], o2.leftmost[j-1]
-	m, n := i-li+2, j-lj+2
-	fd := make([][]float64, m)
-	for a := range fd {
-		fd[a] = make([]float64, n)
-	}
-	for di := li; di <= i; di++ {
-		fd[di-li+1][0] = fd[di-li][0] + c.Delete(o1.nodes[di-1])
-	}
-	for dj := lj; dj <= j; dj++ {
-		fd[0][dj-lj+1] = fd[0][dj-lj] + c.Insert(o2.nodes[dj-1])
-	}
-	for di := li; di <= i; di++ {
-		for dj := lj; dj <= j; dj++ {
-			r, s := di-li+1, dj-lj+1
-			del := fd[r-1][s] + c.Delete(o1.nodes[di-1])
-			ins := fd[r][s-1] + c.Insert(o2.nodes[dj-1])
-			if o1.leftmost[di-1] == li && o2.leftmost[dj-1] == lj {
-				rel := fd[r-1][s-1] + c.Relabel(o1.nodes[di-1], o2.nodes[dj-1])
-				fd[r][s] = min3(del, ins, rel)
-			} else {
-				sub := fd[o1.leftmost[di-1]-li][o2.leftmost[dj-1]-lj] + td[di][dj]
-				fd[r][s] = min3(del, ins, sub)
-			}
-		}
-	}
-	return fd
+	return out, nil
 }
 
 // backtrack walks an optimal path through the forest table for subtrees
 // (i, j), emitting matched pairs and recursing into subtree jumps.
-func backtrack(o1, o2 *ordered, i, j int, c Costs, td [][]float64, out *[]MapPair) {
+func (s *solver) backtrack(i, j int, out *[]MapPair) error {
+	if err := s.poll(); err != nil {
+		return err
+	}
+	o1, o2, c := s.o1, s.o2, s.c
 	li, lj := o1.leftmost[i-1], o2.leftmost[j-1]
-	fd := forestTable(o1, o2, i, j, c, td)
+	fd := s.forest(i, j)
 	const eps = 1e-9
 	di, dj := i, j
 	for di >= li || dj >= lj {
-		r, s := 0, 0
+		r, col := 0, 0
 		if di >= li {
 			r = di - li + 1
 		}
 		if dj >= lj {
-			s = dj - lj + 1
+			col = dj - lj + 1
 		}
 		switch {
-		case r > 0 && fd[r][s] >= fd[r-1][s]+c.Delete(o1.nodes[di-1])-eps &&
-			fd[r][s] <= fd[r-1][s]+c.Delete(o1.nodes[di-1])+eps:
+		case r > 0 && fd[r][col] >= fd[r-1][col]+c.Delete(o1.nodes[di-1])-eps &&
+			fd[r][col] <= fd[r-1][col]+c.Delete(o1.nodes[di-1])+eps:
 			di--
-		case s > 0 && fd[r][s] >= fd[r][s-1]+c.Insert(o2.nodes[dj-1])-eps &&
-			fd[r][s] <= fd[r][s-1]+c.Insert(o2.nodes[dj-1])+eps:
+		case col > 0 && fd[r][col] >= fd[r][col-1]+c.Insert(o2.nodes[dj-1])-eps &&
+			fd[r][col] <= fd[r][col-1]+c.Insert(o2.nodes[dj-1])+eps:
 			dj--
 		default:
 			if o1.leftmost[di-1] == li && o2.leftmost[dj-1] == lj {
@@ -118,12 +105,15 @@ func backtrack(o1, o2 *ordered, i, j int, c Costs, td [][]float64, out *[]MapPai
 			} else {
 				// Subtree jump: the two subtrees rooted at di, dj were
 				// matched as wholes; recurse, then skip them.
-				backtrack(o1, o2, di, dj, c, td, out)
+				if err := s.backtrack(di, dj, out); err != nil {
+					return err
+				}
 				di = o1.leftmost[di-1] - 1
 				dj = o2.leftmost[dj-1] - 1
 			}
 		}
 	}
+	return nil
 }
 
 // MatchingCosts is the cost model to use when the mapping will seed a

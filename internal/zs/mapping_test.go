@@ -1,6 +1,7 @@
 package zs_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -40,7 +41,7 @@ func checkMappingStructure(t *testing.T, pairs []zs.MapPair) {
 func TestMappingIdentical(t *testing.T) {
 	doc := gen.Document(gen.DocParams{Seed: 2, Sections: 2})
 	cp := doc.Clone()
-	pairs, d, err := zs.Mapping(doc, cp, zs.UnitCosts())
+	pairs, d, err := zs.Mapping(context.Background(), doc, cp, zs.UnitCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestMappingCostMatchesDistance(t *testing.T) {
 				t.Fatal(err)
 			}
 			costs := zs.UnitCosts()
-			pairs, d, err := zs.Mapping(doc, pert.New, costs)
+			pairs, d, err := zs.Mapping(context.Background(), doc, pert.New, costs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestMatchingCostsForbidCrossLabel(t *testing.T) {
   x "same words here"`)
 	b := tree.MustParse(`doc
   y "same words here"`)
-	pairs, _, err := zs.Mapping(a, b, zs.MatchingCosts(compare.WordLCS))
+	pairs, _, err := zs.Mapping(context.Background(), a, b, zs.MatchingCosts(compare.WordLCS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestMatchingCostsPreferSimilarValues(t *testing.T) {
 	b := tree.MustParse(`doc
   s "totally different words entirely"
   s "alpha beta gamma echo"`)
-	pairs, _, err := zs.Mapping(a, b, zs.MatchingCosts(compare.WordLCS))
+	pairs, _, err := zs.Mapping(context.Background(), a, b, zs.MatchingCosts(compare.WordLCS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +141,10 @@ func TestMatchingCostsPreferSimilarValues(t *testing.T) {
 
 func TestMappingErrors(t *testing.T) {
 	doc := gen.Document(gen.DocParams{Seed: 1})
-	if _, _, err := zs.Mapping(doc, tree.New(), zs.UnitCosts()); err == nil {
+	if _, _, err := zs.Mapping(context.Background(), doc, tree.New(), zs.UnitCosts()); err == nil {
 		t.Fatal("expected error for empty tree")
 	}
-	if _, _, err := zs.Mapping(doc, doc, zs.Costs{}); err == nil {
+	if _, _, err := zs.Mapping(context.Background(), doc, doc, zs.Costs{}); err == nil {
 		t.Fatal("expected error for missing costs")
 	}
 }

@@ -121,30 +121,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-// TestBruteForceCrossCheck compares the DP against exhaustive search on
-// tiny trees: the distance must match the cheapest script found by
-// breadth-first exploration of the [ZS89] operation space. To keep the
-// state space finite we only explore relabel-to-target-values and
-// leaf-level inserts/deletes, which is sufficient for these shapes.
-func TestBruteForceCrossCheck(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"r\n  a \"1\"", "r\n  a \"1\"", 0},
-		{"r\n  a \"1\"", "r\n  a \"2\"", 1},
-		{"r\n  a \"1\"\n  b \"2\"", "r\n  b \"2\"\n  a \"1\"", 2}, // swap = delete+insert (no moves in ZS)
-		{"r\n  a \"1\"\n  a \"2\"\n  a \"3\"", "r\n  a \"3\"\n  a \"1\"\n  a \"2\"", 2},
-		{"r", "r\n  a\n    b", 2},
-	}
-	for _, c := range cases {
-		a, b := tree.MustParse(c.a), tree.MustParse(c.b)
-		if d := dist(t, a, b); math.Abs(d-c.want) > 1e-9 {
-			t.Errorf("distance(%q,%q) = %v, want %v", c.a, c.b, d, c.want)
-		}
-	}
-}
-
 func TestCustomCosts(t *testing.T) {
 	a := tree.MustParse(`doc
   s "x"`)

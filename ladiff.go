@@ -114,20 +114,15 @@ const (
 	// ZSMatcher derives the matching from an optimal Zhang–Shasha
 	// mapping — the §5 "best matching" route, for small trees.
 	ZSMatcher = core.ZSMatcher
-	// RTEDMatcher derives the matching from an optimal mapping computed
-	// with the Pawlik–Augsten optimal-strategy decomposition — the same
-	// guarantee as ZSMatcher with a recursion shape that adapts to the
-	// input, for trees beyond ZS's comfortable range.
-	RTEDMatcher = core.RTEDMatcher
 )
 
 // MatcherByName maps an engine name as spelled in -engine flags and the
-// server's "matcher" field ("fast", "simple", "zs", "rted") to its
-// Matcher value; the empty string selects the default FastMatcher.
+// server's "matcher" field ("fast", "simple", "zs") to its Matcher
+// value; the empty string selects the default FastMatcher.
 func MatcherByName(name string) (Matcher, bool) { return core.MatcherByName(name) }
 
-// EngineNames returns the registered matching engine names, sorted —
-// the legal values for MatcherByName.
+// EngineNames returns the matching engine names, sorted — the legal
+// values for MatcherByName.
 func EngineNames() []string { return core.EngineNames() }
 
 // Delta-tree annotations.
@@ -191,11 +186,12 @@ func FindMatching(old, new *Tree, opts MatchOptions) (*Matching, error) {
 type Matcher = core.Matcher
 
 // FindMatchingFor runs the selected matcher with the same degradation
-// ladder Diff uses: a budgeted SimpleMatcher, ZSMatcher, or RTEDMatcher
-// run that exhausts MatchOptions.WorkBudget is recomputed with the
-// cheap FastMatch, unbudgeted; the returned reasons record the fallback
-// (empty for a clean run). FastMatch exhaustion has no cheaper fallback
-// and returns an ErrDegraded-tagged error.
+// ladder Diff uses: a budgeted SimpleMatcher or ZSMatcher run that
+// exhausts MatchOptions.WorkBudget, or a ZSMatcher run past its table
+// bound, is recomputed with the cheap FastMatch, unbudgeted; the
+// returned reasons record the fallback (empty for a clean run).
+// FastMatch exhaustion has no cheaper fallback and returns an
+// ErrDegraded-tagged error.
 func FindMatchingFor(old, new *Tree, matcher Matcher, opts MatchOptions) (*Matching, []string, error) {
 	return core.MatchWithFallback(old, new, matcher, opts)
 }
