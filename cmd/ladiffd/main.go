@@ -58,7 +58,6 @@ func main() {
 	storeMaxFeeds := flag.Int("store-max-feeds", 0, "max concurrently open feed subscriptions before 429 (0 = 256)")
 	storeHeartbeat := flag.Duration("store-heartbeat", 0, "SSE keepalive interval on idle feeds (0 = 15s)")
 	routeReplicas := flag.String("route", "", "comma-separated replica base URLs; serve as the consistent-hash routing tier over them instead of as a replica (see DESIGN.md §15)")
-	routeHedge := flag.Duration("hedge-after", 0, "routing tier: hedge idempotent non-streaming requests to the key's next replica after this delay (0 disables)")
 	routeProbe := flag.Duration("probe-interval", 0, "routing tier: per-replica /readyz probe interval (0 = 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	faultSpec := flag.String("fault", "", "arm fault injection: point:mode[:p=P][:delay=D][:bytes=N][,...][;seed=S] (chaos testing only)")
@@ -98,7 +97,6 @@ func main() {
 		rcfg := route.Config{
 			Replicas:      reps,
 			ProbeInterval: *routeProbe,
-			HedgeAfter:    *routeHedge,
 			MaxBodyBytes:  *maxBody,
 			Logger:        logger,
 		}
@@ -164,9 +162,9 @@ func main() {
 
 // serveRoute runs the routing tier until a signal arrives on stop,
 // then drains: /readyz flips to 503 so load balancers stop sending,
-// admitted requests (including open feed streams) finish within
-// drainTimeout, probers stop, and the listener closes. ready works as
-// in serve.
+// probers stop, open feed streams are severed, admitted requests finish
+// within drainTimeout, and the listener closes. ready works as in
+// serve.
 func serveRoute(addr string, rcfg route.Config, drainTimeout time.Duration, logger *slog.Logger, stop <-chan os.Signal, ready chan<- string) error {
 	rt := route.New(rcfg)
 

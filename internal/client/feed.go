@@ -151,10 +151,11 @@ func (c *Client) streamFeed(ctx context.Context, key string, opts FeedOptions, s
 			if ev.Type == store.EventSnapshot {
 				// The snapshot pins the stream's origin on *this*
 				// server. Adopting it even when it is lower than the
-				// resume cursor is what makes failover to a fresh
-				// replica work: the replica's chain restarted, and a
-				// cursor from the old chain would otherwise pin every
-				// future resume past the new head forever.
+				// resume cursor is what makes resuming on an in-memory
+				// replica that restarted empty work: its chain
+				// restarted, and a cursor from the old chain would
+				// otherwise pin every future resume past the new head
+				// forever.
 				*since = ev.Version
 			} else if ev.Version > *since {
 				*since = ev.Version

@@ -37,9 +37,9 @@ const (
 	ParseJSON  Point = "parse.json"
 	ParseTree  Point = "parse.tree"
 	// Engine phases.
-	Match    Point = "match.run"  // checked at Match/FastMatch entry
-	Generate Point = "gen.run"    // checked at EditScript entry
-	GenIndex Point = "gen.index"  // checked when the generation index is built
+	Match    Point = "match.run" // checked at Match/FastMatch entry
+	Generate Point = "gen.run"   // checked at EditScript entry
+	GenIndex Point = "gen.index" // checked when the generation index is built
 	// Server I/O.
 	ServerRead  Point = "server.read"  // wraps request-body reads
 	ServerWrite Point = "server.write" // checked before response writes

@@ -151,27 +151,8 @@ func (rt *Router) forwardGroup(r *http.Request, key string, raws []json.RawMessa
 		return
 	}
 
-	var last attemptResult
-	attempts := 0
-	for _, u := range rt.ring.Successors(key) {
-		if attempts >= 2 {
-			break
-		}
-		rep := rt.reps[u]
-		if !rep.Healthy() || rep.breaker.Allow() != nil {
-			continue
-		}
-		if attempts > 0 {
-			rt.met.failovers.Add(1)
-			last.discard()
-		}
-		attempts++
-		last = rt.attempt(r, rep, sub, false)
-		if !last.failedTransiently() {
-			break
-		}
-	}
-	if attempts == 0 {
+	last, n := rt.forward(r, rt.ring.Successors(key), sub, 2, false)
+	if n == 0 {
 		fail(syntheticError(http.StatusServiceUnavailable, "no_replicas", "no live replica for batch items"))
 		return
 	}

@@ -201,13 +201,16 @@ func TestRouterBatchDeadOwner(t *testing.T) {
 
 // TestRouterJobPinning: a submitted job's polls and cancel land on the
 // replica that owns it — via the pin, and via the fan-out fallback
-// when the pin is lost.
+// when the pin is lost — and a job whose replica is down is reported
+// unavailable, never gone.
 func TestRouterJobPinning(t *testing.T) {
 	defer testleak.Check(t)
 	var replicas []string
+	servers := map[string]*httptest.Server{}
 	for i := 0; i < 3; i++ {
 		_, ts := newReplicaServer(t)
 		replicas = append(replicas, ts.URL)
+		servers[ts.URL] = ts
 	}
 	rt := newTestRouter(t, Config{Replicas: replicas})
 	router := httptest.NewServer(rt.Handler())
@@ -275,5 +278,22 @@ func TestRouterJobPinning(t *testing.T) {
 	resp, _ = postJSON(t, http.MethodGet, router.URL+"/v1/jobs/job-nope-404", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job status %d, want 404", resp.StatusCode)
+	}
+
+	// The owner dies. Its job still exists, so neither the pinned poll
+	// nor a pin-lost fan-out (where the other replicas can only say 404)
+	// may report it gone.
+	servers[owner].Close()
+	waitFor(t, "owner ejection", func() bool { return !rt.reps[owner].Healthy() })
+	for _, how := range []string{"pinned", "pin lost"} {
+		if how == "pin lost" {
+			rt.pins.mu.Lock()
+			rt.pins.m = nil
+			rt.pins.mu.Unlock()
+		}
+		resp, data = postJSON(t, http.MethodGet, router.URL+"/v1/jobs/"+st.ID, nil)
+		if resp.StatusCode != http.StatusServiceUnavailable || errorCode(data) != "owner_unavailable" {
+			t.Errorf("%s poll with the owner down: status %d %s, want 503 owner_unavailable", how, resp.StatusCode, data)
+		}
 	}
 }

@@ -81,17 +81,17 @@ func (r *replica) observeProbe(ok bool, rise, fall int) {
 	}
 }
 
-// probeLoop probes the replica's /readyz every interval until stop
-// closes. It runs on its own goroutine per replica so one hung probe
-// (a replica that accepts connections but never answers) cannot delay
-// detection on the others.
+// probeLoop probes the replica's /readyz every interval until the
+// router shuts down. It runs on its own goroutine per replica so one
+// hung probe (a replica that accepts connections but never answers)
+// cannot delay detection on the others.
 func (rt *Router) probeLoop(rep *replica) {
 	defer rt.probeWG.Done()
 	t := time.NewTicker(rt.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.probeStop:
+		case <-rt.life.Done():
 			return
 		case <-t.C:
 		}
@@ -106,7 +106,7 @@ func (rt *Router) probeOnce(rep *replica) bool {
 	if err := fault.Check(fault.RouteProbe); err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.life, rt.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
 	if err != nil {

@@ -15,9 +15,9 @@ import (
 // is pollable. The submit is relayed by body hash (same affinity as
 // the equivalent synchronous diff), the 202 is inspected for the job
 // ID, and the ID→replica pin is remembered in a bounded TTL map.
-// Polls and cancels follow the pin; an unknown ID (router restart, pin
-// evicted) falls back to asking every live replica, first non-404
-// answer wins and re-pins.
+// Polls and cancels follow the pin, to that replica alone; an unknown
+// ID (router restart, pin evicted) falls back to asking every replica,
+// first non-404 answer wins and re-pins.
 
 const (
 	// maxJobPins bounds the pin map; at capacity the sweep evicts
@@ -73,25 +73,13 @@ func (p *jobPins) lookup(id string, now time.Time) (string, bool) {
 
 // proxyJobSubmit relays POST /v1/jobs/diff to the body's replica. A
 // submit is NOT idempotent — replaying it could create two jobs — so
-// there is no failover and no hedging: one replica, one attempt, and a
-// transient failure surfaces to the client, whose retry makes the
+// there is no failover: one replica, one attempt, and a transient
+// failure surfaces to the client, whose retry makes the
 // duplicate-or-not decision explicitly.
 func (rt *Router) proxyJobSubmit(w http.ResponseWriter, r *http.Request, body []byte) {
-	key := shardKey(r, body)
-	var last attemptResult
-	attempted := false
-	for _, u := range rt.ring.Successors(key) {
-		rep := rt.reps[u]
-		if !rep.Healthy() || rep.breaker.Allow() != nil {
-			continue
-		}
-		attempted = true
-		last = rt.attempt(r, rep, body, false)
-		break
-	}
-	if !attempted {
-		rt.met.noReplica.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica for key")
+	last, n := rt.forward(r, rt.ring.Successors(shardKey(r, body)), body, 1, false)
+	if n == 0 {
+		rt.noReplicas(w)
 		return
 	}
 	if last.resp == nil {
@@ -125,61 +113,42 @@ func (rt *Router) proxyJobSubmit(w http.ResponseWriter, r *http.Request, body []
 	rt.met.relayed.Add(1)
 }
 
-// proxyJobByID routes GET/DELETE /v1/jobs/{id}: to the pinned replica
-// when the pin is known and that replica answers, otherwise a fan-out
-// over every live replica where the first non-404 wins (and re-pins).
-// If everyone says 404 the job really is gone and the last 404 is
-// relayed verbatim.
+// proxyJobByID routes GET/DELETE /v1/jobs/{id}. A pinned job lives on
+// its replica and nowhere else, so the request goes there alone; while
+// that replica is not live the answer is 503 owner_unavailable, since
+// any other replica could only say 404 about a job that still exists.
+// Without a pin every replica is asked: the first non-404 answer wins
+// (and re-pins), and 404 is relayed only when every replica answered
+// it.
 func (rt *Router) proxyJobByID(w http.ResponseWriter, r *http.Request, body []byte) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	now := time.Now()
 	if url, ok := rt.pins.lookup(id, now); ok {
-		if rep, ok := rt.reps[url]; ok && rep.Alive() {
-			res := rt.attempt(r, rep, body, false)
-			if !res.failedTransiently() {
-				rt.relay(w, res, false, "")
-				return
-			}
-			res.discard()
-			// The pinned replica is momentarily unreachable. The job
-			// cannot be anywhere else, so relay the failure rather than
-			// fanning out to replicas that can only say 404.
-			rt.met.failed.Add(1)
-			writeError(w, http.StatusBadGateway, "upstream_unreachable",
-				"the job's replica did not answer; retry after backoff")
-			return
-		}
-	}
-
-	var last attemptResult
-	haveLast := false
-	for _, u := range rt.ring.Replicas() {
-		rep := rt.reps[u]
-		if !rep.Healthy() || rep.breaker.Allow() != nil {
-			continue
-		}
-		res := rt.attempt(r, rep, body, false)
-		if res.failedTransiently() {
-			res.discard()
-			continue
-		}
-		if res.resp.StatusCode != http.StatusNotFound {
-			if haveLast {
-				last.discard()
-			}
-			rt.pins.pin(id, rep.url, now)
-			rt.relay(w, res, false, "")
-			return
-		}
-		if haveLast {
-			last.discard()
-		}
-		last, haveLast = res, true
-	}
-	if haveLast {
-		rt.relay(w, last, false, "")
+		rt.proxyOwned(w, r, body, url, false)
 		return
 	}
-	rt.met.noReplica.Add(1)
-	writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica knows this job")
+
+	var notFound attemptResult
+	missed := false
+	for _, u := range rt.ring.Replicas() {
+		res, n := rt.forward(r, []string{u}, body, 1, false)
+		if n == 0 || res.failedTransiently() {
+			res.discard()
+			missed = true
+			continue
+		}
+		notFound.discard()
+		if res.resp.StatusCode != http.StatusNotFound {
+			rt.pins.pin(id, u, now)
+			rt.relay(w, res, false)
+			return
+		}
+		notFound = res
+	}
+	if missed || notFound.resp == nil {
+		notFound.discard()
+		rt.ownerUnavailable(w, "a replica that may hold this job is unavailable")
+		return
+	}
+	rt.relay(w, notFound, false)
 }

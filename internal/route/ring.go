@@ -1,24 +1,27 @@
 // Package route is ladiffd's scale-out tier: a consistent-hash router
-// that shards the document API across a set of replica servers and
-// keeps serving through replica failures.
+// that shards the document API across a set of replica servers. A
+// document lives on its ring owner alone; stateless requests keep
+// serving through replica failures.
 //
 // The design splits into three layers:
 //
 //   - Ring (this file): a static consistent-hash ring with virtual
 //     nodes. Pure data — it knows nothing about health. For every key
-//     it yields a deterministic failover chain (the distinct replicas
-//     in ring order from the key's hash), with the property that
-//     skipping dead replicas while walking the chain lands on exactly
-//     the replica that would own the key if the dead replicas' virtual
-//     nodes were removed from the ring. Failover therefore moves only
-//     the keys the dead replica owned, and re-admission moves them
-//     back — bounded key movement in both directions.
+//     it yields the owner and a deterministic failover chain (the
+//     distinct replicas in ring order from the key's hash), with the
+//     property that skipping dead replicas while walking the chain
+//     lands on exactly the replica that would own the key if the dead
+//     replicas' virtual nodes were removed from the ring. Stateless
+//     failover therefore moves only the keys the dead replica owned,
+//     and re-admission moves them back — bounded key movement in both
+//     directions.
 //   - replica/prober (health.go): per-replica liveness, combining
 //     periodic /readyz probes (rise/fall hysteresis) with a
 //     consecutive-failure circuit breaker fed by live traffic.
-//   - Router (router.go): the HTTP proxy that puts the two together,
-//     with per-attempt deadlines, bounded failover retries, optional
-//     hedged reads, and back-pressure pass-through.
+//   - Router (router.go): the HTTP proxy that puts the two together.
+//     Document routes go to their owner or fail closed with 503
+//     owner_unavailable; stateless routes get per-attempt deadlines,
+//     one failover hop when idempotent, and back-pressure pass-through.
 package route
 
 import (

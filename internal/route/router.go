@@ -47,13 +47,9 @@ type Config struct {
 	// copy) for non-streaming requests. 0 means 10s. Feeds are exempt:
 	// an SSE stream is long-lived by design.
 	AttemptTimeout time.Duration
-	// HedgeAfter, when positive, arms hedged reads: if an idempotent
-	// non-streaming request has no answer after this long, a second
-	// copy is sent to the key's next live replica and the first
-	// response wins. 0 disables hedging.
-	HedgeAfter time.Duration
 	// MaxBodyBytes caps the buffered request body (bodies are buffered
-	// so a failover retry or hedge can replay them). 0 means 16 MiB.
+	// so a stateless request's failover hop can replay them and a batch
+	// can be split per item). 0 means 16 MiB.
 	MaxBodyBytes int64
 	// Transport is the upstream RoundTripper; nil means a dedicated
 	// http.Transport.
@@ -117,9 +113,11 @@ type Router struct {
 	// pins remembers which replica owns each async job (see jobs.go).
 	pins jobPins
 
-	probeStop chan struct{}
-	probeWG   sync.WaitGroup
-	stopOnce  sync.Once
+	// life spans the router's lifetime: Shutdown cancels it, which stops
+	// the probers and severs proxied feed streams.
+	life    context.Context
+	stop    context.CancelFunc
+	probeWG sync.WaitGroup
 }
 
 // metrics is the router's exactly-once request accounting: every
@@ -129,14 +127,12 @@ type Router struct {
 type metrics struct {
 	requests         atomic.Int64 // proxied API requests admitted for routing
 	relayed          atomic.Int64 // a replica response was passed through (any status)
-	noReplica        atomic.Int64 // no live replica to try → 503 no_replicas
+	noReplica        atomic.Int64 // no live replica to try → 503 no_replicas / owner_unavailable
 	failed           atomic.Int64 // every attempt failed in transport → 502
 	rejectedDraining atomic.Int64 // refused because the router is draining
 
-	attempts       atomic.Int64 // proxied attempts across all replicas
-	failovers      atomic.Int64 // attempts re-sent to a ring successor
-	hedgesLaunched atomic.Int64
-	hedgesWon      atomic.Int64 // hedge returned before the primary
+	attempts  atomic.Int64 // proxied attempts across all replicas
+	failovers atomic.Int64 // attempts re-sent to a ring successor
 }
 
 // Snapshot is the /metrics wire form.
@@ -148,8 +144,6 @@ type Snapshot struct {
 	RejectedDraining int64           `json:"rejected_draining_total"`
 	Attempts         int64           `json:"attempts_total"`
 	Failovers        int64           `json:"failovers_total"`
-	HedgesLaunched   int64           `json:"hedges_launched_total"`
-	HedgesWon        int64           `json:"hedges_won_total"`
 	Replicas         []ReplicaStatus `json:"replicas"`
 }
 
@@ -167,12 +161,12 @@ type ReplicaStatus struct {
 func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:       cfg,
-		ring:      NewRing(cfg.Replicas, cfg.VNodes),
-		reps:      make(map[string]*replica, len(cfg.Replicas)),
-		client:    &http.Client{Transport: cfg.Transport},
-		probeStop: make(chan struct{}),
+		cfg:    cfg,
+		ring:   NewRing(cfg.Replicas, cfg.VNodes),
+		reps:   make(map[string]*replica, len(cfg.Replicas)),
+		client: &http.Client{Transport: cfg.Transport},
 	}
+	rt.life, rt.stop = context.WithCancel(context.Background())
 	for _, u := range rt.ring.Replicas() {
 		if _, dup := rt.reps[u]; dup {
 			continue
@@ -200,8 +194,6 @@ func (rt *Router) Snapshot() Snapshot {
 		RejectedDraining: rt.met.rejectedDraining.Load(),
 		Attempts:         rt.met.attempts.Load(),
 		Failovers:        rt.met.failovers.Load(),
-		HedgesLaunched:   rt.met.hedgesLaunched.Load(),
-		HedgesWon:        rt.met.hedgesWon.Load(),
 	}
 	urls := make([]string, 0, len(rt.reps))
 	for u := range rt.reps {
@@ -238,7 +230,7 @@ func (rt *Router) BeginDrain() {
 // to end. Idle upstream connections are closed on the way out.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.BeginDrain()
-	rt.stopOnce.Do(func() { close(rt.probeStop) })
+	rt.stop()
 	rt.probeWG.Wait()
 	done := make(chan struct{})
 	go func() {
@@ -366,15 +358,14 @@ func pathUnescape(s string) (string, error) {
 	return url.PathUnescape(s)
 }
 
-// idempotent reports whether the request may be replayed on another
-// replica after a transient failure. All reads are; so are the
-// stateless POST /v1/diff and /v1/patch RPCs (pure functions of the
-// body); and PUT /v1/docs/{key} (ingest of identical content is a
-// fingerprint no-op on the replica, so a duplicate delivery cannot
-// create a duplicate version).
+// idempotent reports whether a stateless request may be replayed on
+// another replica after a transient failure. Reads are; so are the
+// POST /v1/diff, /v1/patch and /v1/diff/batch RPCs (pure functions of
+// the body). Document routes never reach this question: they have one
+// replica to ask.
 func idempotent(r *http.Request) bool {
 	switch r.Method {
-	case http.MethodGet, http.MethodHead, http.MethodPut:
+	case http.MethodGet, http.MethodHead:
 		return true
 	case http.MethodPost:
 		return r.URL.Path == "/v1/diff" || r.URL.Path == "/v1/patch" ||
@@ -403,11 +394,10 @@ type attemptResult struct {
 	resp   *http.Response
 	err    error
 	cancel context.CancelFunc
-	hedge  bool
-	idx    int // launch slot, for the hedged path's cancel bookkeeping
 }
 
-// discard releases a result that will not be relayed.
+// discard releases a result that will not be relayed. The zero value
+// (no attempt ran) is a no-op.
 func (a attemptResult) discard() {
 	if a.resp != nil {
 		a.resp.Body.Close()
@@ -426,46 +416,78 @@ func (a attemptResult) failedTransiently() bool {
 	return transientStatus(a.resp.StatusCode)
 }
 
-// proxy routes one buffered-body request: pick the key's live replica,
-// forward with a per-attempt deadline, fail over once to the ring
-// successor on transient failure (idempotent requests only), hedging
-// if configured.
+// proxy routes one buffered-body request. A document route goes to the
+// key's ring owner alone, once: every version of a document must be an
+// edit script on the owner's one delta chain, so a write committed on
+// any other replica would start a second chain and a read served there
+// would answer from it. Stateless requests walk the key's failover
+// chain instead: one failover hop for idempotent requests, one attempt
+// for the rest.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte) {
 	key := shardKey(r, body)
-	// /v1/docs/{key}/feed and only it is an event stream ("/v1/docs/feed"
-	// is a checkout of a document named "feed").
-	sse := strings.HasPrefix(r.URL.Path, "/v1/docs/") &&
-		strings.HasSuffix(r.URL.Path, "/feed") &&
-		strings.Count(r.URL.Path, "/") >= 4
-	idem := idempotent(r)
-	maxAttempts := 1
-	if idem {
-		maxAttempts = 2 // one failover hop: bounded work under a storm
-	}
-
-	// The candidate chain: live replicas in the key's deterministic
-	// failover order. Liveness is re-checked at launch time (Allow
-	// owns a breaker slot), so this is a snapshot, not a reservation.
-	chain := rt.ring.Successors(key)
-
-	if rt.cfg.HedgeAfter > 0 && idem && !sse {
-		if rt.proxyHedged(w, r, body, chain) {
-			return
-		}
-		// No replica was even available to hedge against.
-		rt.met.noReplica.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica for key")
+	if strings.HasPrefix(key, "doc:") {
+		// /v1/docs/{key}/feed and only it is an event stream
+		// ("/v1/docs/feed" is a checkout of a document named "feed").
+		sse := strings.HasSuffix(r.URL.Path, "/feed") && strings.Count(r.URL.Path, "/") >= 4
+		rt.proxyOwned(w, r, body, rt.ring.Owner(key), sse)
 		return
 	}
+	maxAttempts := 1
+	if idempotent(r) {
+		maxAttempts = 2 // one failover hop: bounded work under a storm
+	}
+	res, n := rt.forward(r, rt.ring.Successors(key), body, maxAttempts, false)
+	if n == 0 {
+		rt.noReplicas(w)
+		return
+	}
+	rt.relay(w, res, false)
+}
 
+// proxyOwned sends the request to owner alone, in one attempt. While
+// the owner is ejected or its breaker is open the caller gets 503
+// owner_unavailable: no other replica holds the state it asks about.
+func (rt *Router) proxyOwned(w http.ResponseWriter, r *http.Request, body []byte, owner string, sse bool) {
+	res, n := rt.forward(r, []string{owner}, body, 1, sse)
+	if n == 0 {
+		rt.ownerUnavailable(w, "the replica that owns this key is unavailable")
+		return
+	}
+	rt.relay(w, res, sse)
+}
+
+// noReplicas answers a stateless request none of whose replicas is
+// live.
+func (rt *Router) noReplicas(w http.ResponseWriter) {
+	rt.met.noReplica.Add(1)
+	writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica for key")
+}
+
+// ownerUnavailable answers a request whose one permissible replica
+// cannot serve it. Retry-After: 1 is the hint the replicas send on
+// their own 503s.
+func (rt *Router) ownerUnavailable(w http.ResponseWriter, msg string) {
+	rt.met.noReplica.Add(1)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, "owner_unavailable", msg)
+}
+
+// forward is the one walk over a replica chain. It tries the replicas
+// in chain order, skipping any that is ejected or whose breaker
+// refuses, until an attempt succeeds or does not fail transiently, or
+// maxAttempts attempts have run; every attempt after the first is a
+// failover. It returns the last attempt, whose body and cancel the
+// caller owns, and the number of attempts; 0 means no replica in chain
+// was live.
+func (rt *Router) forward(r *http.Request, chain []string, body []byte, maxAttempts int, sse bool) (attemptResult, int) {
 	var last attemptResult
 	attempts := 0
 	for _, u := range chain {
-		if attempts >= maxAttempts {
+		if attempts == maxAttempts {
 			break
 		}
 		rep := rt.reps[u]
-		if !rep.Healthy() || rep.breaker.Allow() != nil {
+		if rep == nil || !rep.Healthy() || rep.breaker.Allow() != nil {
 			continue
 		}
 		if attempts > 0 {
@@ -475,138 +497,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte) {
 		attempts++
 		last = rt.attempt(r, rep, body, sse)
 		if !last.failedTransiently() {
-			rt.relay(w, last, sse, key)
-			return
+			break
 		}
 	}
-	if attempts == 0 {
-		rt.met.noReplica.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica for key")
-		return
-	}
-	if last.resp != nil {
-		// Every live replica said 502/503/504: relay the last verdict
-		// (with any Retry-After) rather than inventing a new error.
-		rt.relay(w, last, sse, key)
-		return
-	}
-	last.cancel()
-	rt.met.failed.Add(1)
-	writeError(w, http.StatusBadGateway, "upstream_unreachable",
-		fmt.Sprintf("all attempts failed: %v", last.err))
-}
-
-// proxyHedged runs the hedged variant: launch the primary, arm a
-// timer, launch one backup to the key's next live replica if the
-// primary hasn't answered in time (a hedge) or has already failed (a
-// failover), first usable answer wins and the loser is canceled.
-// Every launched attempt's result is collected before returning, so
-// nothing leaks. Returns false if no replica could be tried at all.
-func (rt *Router) proxyHedged(w http.ResponseWriter, r *http.Request, body []byte, chain []string) bool {
-	// Pick up to two live candidates now; Allow is still called at
-	// launch so a breaker slot is only claimed for attempts that run.
-	var cands []*replica
-	for _, u := range chain {
-		if rep := rt.reps[u]; rep.Alive() {
-			cands = append(cands, rep)
-			if len(cands) == 2 {
-				break
-			}
-		}
-	}
-	if len(cands) == 0 {
-		return false
-	}
-
-	results := make(chan attemptResult, 2)
-	var cancels [2]context.CancelFunc
-	launched, next := 0, 0
-	launch := func(hedge bool) bool {
-		// Walk past candidates whose breaker shut since selection; each
-		// candidate is tried at most once.
-		for next < len(cands) {
-			rep := cands[next]
-			next++
-			if rep.breaker.Allow() != nil {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.AttemptTimeout)
-			i := launched
-			cancels[i] = cancel
-			launched++
-			go func() {
-				res := rt.attemptCtx(ctx, cancel, r, rep, body)
-				res.hedge, res.idx = hedge, i
-				results <- res
-			}()
-			return true
-		}
-		return false
-	}
-	if !launch(false) {
-		return false
-	}
-
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-	var winner, lastFail attemptResult
-	haveWinner, haveLastFail := false, false
-	for received := 0; received < launched; {
-		select {
-		case <-timer.C:
-			// Primary still in flight past the hedge threshold: race a
-			// second copy against it.
-			if !haveWinner && launch(true) {
-				rt.met.hedgesLaunched.Add(1)
-			}
-		case res := <-results:
-			received++
-			switch {
-			case !res.failedTransiently() && !haveWinner:
-				winner, haveWinner = res, true
-				for j, c := range cancels {
-					if c != nil && j != res.idx {
-						c() // the straggler's result still arrives below
-					}
-				}
-			case res.failedTransiently() && !haveWinner:
-				if haveLastFail {
-					lastFail.discard()
-				}
-				lastFail, haveLastFail = res, true
-				if received == launched {
-					// Nothing left in flight: fail over to the backup
-					// immediately instead of waiting out the timer.
-					if launch(false) {
-						rt.met.failovers.Add(1)
-					}
-				}
-			default:
-				res.discard() // a second answer after the winner
-			}
-		}
-	}
-	if haveWinner {
-		if haveLastFail {
-			lastFail.discard()
-		}
-		if winner.hedge {
-			rt.met.hedgesWon.Add(1)
-		}
-		rt.relay(w, winner, false, "")
-		return true
-	}
-	// Every attempt failed. Relay a replica verdict if one exists (it
-	// carries Retry-After and the replica's own error envelope).
-	if lastFail.resp != nil {
-		rt.relay(w, lastFail, false, "")
-		return true
-	}
-	lastFail.cancel()
-	rt.met.failed.Add(1)
-	writeError(w, http.StatusBadGateway, "upstream_unreachable",
-		fmt.Sprintf("all attempts failed: %v", lastFail.err))
-	return true
+	return last, attempts
 }
 
 // attempt forwards one copy of the request to rep. Non-streaming
@@ -621,12 +515,6 @@ func (rt *Router) attempt(r *http.Request, rep *replica, body []byte, sse bool) 
 	} else {
 		ctx, cancel = context.WithTimeout(r.Context(), rt.cfg.AttemptTimeout)
 	}
-	return rt.attemptCtx(ctx, cancel, r, rep, body)
-}
-
-// attemptCtx is attempt with the caller owning the context, so the
-// hedged path can cancel a straggler before its result arrives.
-func (rt *Router) attemptCtx(ctx context.Context, cancel context.CancelFunc, r *http.Request, rep *replica, body []byte) attemptResult {
 	rt.met.attempts.Add(1)
 	rep.attempts.Add(1)
 	res := attemptResult{rep: rep, cancel: cancel}
@@ -642,8 +530,8 @@ func (rt *Router) attemptCtx(ctx context.Context, cancel context.CancelFunc, r *
 			res.resp, res.err = rt.client.Do(req)
 		}
 	}
-	// Breaker accounting: a canceled attempt (hedge loser, caller gone)
-	// says nothing about the replica and never counts against it.
+	// Breaker accounting: an attempt whose caller went away says
+	// nothing about the replica and never counts against it.
 	canceled := ctx.Err() == context.Canceled
 	failed := res.failedTransiently() && !canceled
 	rep.breaker.Report(failed)
@@ -653,68 +541,33 @@ func (rt *Router) attemptCtx(ctx context.Context, cancel context.CancelFunc, r *
 	return res
 }
 
-// relay copies a replica response to the caller: headers (hop-by-hop
-// stripped), an X-Route-Replica marker, then the body — flushed per
-// write for event streams so feed events traverse the router without
-// buffering delay. Event streams additionally get a re-homing watch:
-// the stream is severed when its key stops routing to the pinned
-// replica (see rehomeWatch).
-func (rt *Router) relay(w http.ResponseWriter, res attemptResult, sse bool, key string) {
+// relay answers the caller from forward's last attempt. A replica
+// response — a success, or the replica's own 502/503/504 verdict with
+// its Retry-After — is copied through: headers (hop-by-hop stripped),
+// an X-Route-Replica marker, then the body, flushed per write for
+// event streams so feed events traverse the router without buffering
+// delay. An attempt that failed in transport becomes 502. Shutdown
+// severs relayed event streams, so drain is bounded rather than
+// waiting out long-lived feeds; their subscribers reconnect and resume.
+func (rt *Router) relay(w http.ResponseWriter, res attemptResult, sse bool) {
 	defer res.cancel()
+	if res.resp == nil {
+		rt.met.failed.Add(1)
+		writeError(w, http.StatusBadGateway, "upstream_unreachable",
+			fmt.Sprintf("all attempts failed: %v", res.err))
+		return
+	}
 	defer res.resp.Body.Close()
 	copyHeaders(w.Header(), res.resp.Header)
 	w.Header().Set("X-Route-Replica", res.rep.url)
 	w.WriteHeader(res.resp.StatusCode)
 	rt.met.relayed.Add(1)
 	if sse {
-		stop := make(chan struct{})
-		defer close(stop)
-		go rt.rehomeWatch(key, res.rep.url, res.cancel, stop)
+		defer context.AfterFunc(rt.life, res.cancel)()
 		flushCopy(w, res.resp.Body)
 		return
 	}
 	io.Copy(w, res.resp.Body)
-}
-
-// rehomeWatch cuts a proxied feed stream loose when it no longer
-// belongs where it is pinned. Feeds pick their replica at connect
-// time; if the key's routing target moves — most importantly when a
-// re-admitted owner reclaims keys its failover successor was covering
-// — the pinned stream would starve silently, attached to a replica
-// that will never see another write for the key. Severing the upstream
-// turns that silence into a dropped stream, which the client's
-// reconnect-and-resume (client.WatchFeed) answers by re-subscribing
-// through the router and landing on the current owner. Shutdown cuts
-// streams the same way, so drain is bounded rather than waiting out
-// long-lived feeds.
-func (rt *Router) rehomeWatch(key, pinned string, cancel context.CancelFunc, stop <-chan struct{}) {
-	ticker := time.NewTicker(rt.cfg.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-rt.probeStop:
-			cancel()
-			return
-		case <-ticker.C:
-			if rt.routeTarget(key) != pinned {
-				cancel()
-				return
-			}
-		}
-	}
-}
-
-// routeTarget is the replica key routes to right now: the first alive
-// replica in its failover chain, or "" when none is.
-func (rt *Router) routeTarget(key string) string {
-	for _, u := range rt.ring.Successors(key) {
-		if rt.reps[u].Alive() {
-			return u
-		}
-	}
-	return ""
 }
 
 // flushCopy streams src to w, flushing after every read so SSE events
@@ -756,82 +609,43 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// proxyDocList fans GET /v1/docs out to every live replica and merges.
-// After a failover window the same key can exist on two replicas (the
-// successor re-ingested while the owner was down); the merge keeps the
-// copy from the replica earliest in the key's failover chain — the one
-// reads are currently routed to — so the listing always agrees with
-// what GET /v1/docs/{key} would serve.
+// proxyDocList answers GET /v1/docs by asking every replica for its
+// listing and keeping each key only from its ring owner: a copy on any
+// other replica (written there directly, bypassing the router) is not
+// the document the router serves. The listing is complete or it fails:
+// a replica that is not live or does not answer makes the whole
+// listing 503 owner_unavailable, never a silently partial list.
 func (rt *Router) proxyDocList(w http.ResponseWriter, r *http.Request) {
-	type docEntry struct {
-		raw     json.RawMessage
-		replica string
+	type doc struct {
+		key string
+		raw json.RawMessage
 	}
-	byKey := make(map[string][]docEntry)
-	asked, got := 0, 0
-	for u, rep := range rt.reps {
-		if !rep.Healthy() || rep.breaker.Allow() != nil {
-			continue
-		}
-		asked++
-		res := rt.attempt(r, rep, nil, false)
-		if res.failedTransiently() || res.resp.StatusCode != http.StatusOK {
-			res.discard()
-			continue
-		}
-		got++
+	var docs []doc
+	for u := range rt.reps {
+		res, n := rt.forward(r, []string{u}, nil, 1, false)
 		var payload struct {
 			Docs []json.RawMessage `json:"docs"`
 		}
-		err := json.NewDecoder(res.resp.Body).Decode(&payload)
-		res.resp.Body.Close()
-		res.cancel()
-		if err != nil {
-			continue
+		ok := n > 0 && res.resp != nil && res.resp.StatusCode == http.StatusOK &&
+			json.NewDecoder(res.resp.Body).Decode(&payload) == nil
+		res.discard()
+		if !ok {
+			rt.ownerUnavailable(w, "replica "+u+" did not answer the listing")
+			return
 		}
 		for _, raw := range payload.Docs {
 			var meta struct {
 				Key string `json:"key"`
 			}
-			if json.Unmarshal(raw, &meta) != nil || meta.Key == "" {
-				continue
-			}
-			byKey[meta.Key] = append(byKey[meta.Key], docEntry{raw: raw, replica: u})
-		}
-	}
-	if asked == 0 {
-		rt.met.noReplica.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no_replicas", "no live replica")
-		return
-	}
-	if got == 0 {
-		rt.met.failed.Add(1)
-		writeError(w, http.StatusBadGateway, "upstream_unreachable", "every replica failed the listing")
-		return
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	merged := make([]json.RawMessage, 0, len(keys))
-	for _, k := range keys {
-		entries := byKey[k]
-		pick := entries[0].raw
-		if len(entries) > 1 {
-			rank := make(map[string]int)
-			for i, u := range rt.ring.Successors("doc:" + k) {
-				rank[u] = i
-			}
-			best := rank[entries[0].replica]
-			for _, e := range entries[1:] {
-				if rank[e.replica] < best {
-					best = rank[e.replica]
-					pick = e.raw
-				}
+			if json.Unmarshal(raw, &meta) == nil && rt.ring.Owner("doc:"+meta.Key) == u {
+				docs = append(docs, doc{meta.Key, raw})
 			}
 		}
-		merged = append(merged, pick)
+	}
+	sort.Slice(docs, func(i, j int) bool { return docs[i].key < docs[j].key })
+	merged := make([]json.RawMessage, len(docs))
+	for i, d := range docs {
+		merged[i] = d.raw
 	}
 	rt.met.relayed.Add(1)
 	w.Header().Set("Content-Type", "application/json")

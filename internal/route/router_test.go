@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,6 +98,36 @@ func putDoc(t *testing.T, base, key, content string) (*http.Response, []byte) {
 	return resp, data
 }
 
+// diffBodyOwnedBy builds a valid POST /v1/diff body whose hash routes
+// to owner.
+func diffBodyOwnedBy(t *testing.T, ring *Ring, owner string) []byte {
+	t.Helper()
+	req := &http.Request{Method: http.MethodPost, URL: mustURL("/v1/diff")}
+	for i := 0; i < 10000; i++ {
+		body, _ := json.Marshal(map[string]string{
+			"format": "text",
+			"old":    fmt.Sprintf("The first sentence is here. Counter reads %d.", i),
+			"new":    fmt.Sprintf("The first sentence is here. Counter reads %d now.", i),
+		})
+		if ring.Owner(shardKey(req, body)) == owner {
+			return body
+		}
+	}
+	t.Fatalf("no diff body found owned by %s", owner)
+	return nil
+}
+
+// errorCode extracts the code from an API error envelope.
+func errorCode(data []byte) string {
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	json.Unmarshal(data, &env)
+	return env.Error.Code
+}
+
 // TestRouterShardsByKey: documents land on their ring owner, reads
 // come back from the same replica that took the write, and the router
 // stamps which replica answered.
@@ -159,8 +191,8 @@ func TestRouterStatelessDiffAffinity(t *testing.T) {
 	defer router.Close()
 
 	body, _ := json.Marshal(map[string]string{
-		"old": "The first sentence is here. Another sentence follows it.",
-		"new": "The first sentence is here. Another sentence replaces it.",
+		"old":    "The first sentence is here. Another sentence follows it.",
+		"new":    "The first sentence is here. Another sentence replaces it.",
 		"format": "text",
 	})
 	var first string
@@ -183,9 +215,10 @@ func TestRouterStatelessDiffAffinity(t *testing.T) {
 	}
 }
 
-// TestRouterFailover: with the key's owner dead, an idempotent request
-// lands on the ring successor — deterministically, with one failover
-// counted — and the caller never sees the failure.
+// TestRouterFailover: with a key's owner dead, a stateless diff lands
+// on the ring successor — deterministically, with one failover counted
+// — while a document PUT for a key that owner holds is refused with an
+// explicit 502 and never reaches the successor.
 func TestRouterFailover(t *testing.T) {
 	stores := make([]*store.Store, 2)
 	var replicas []string
@@ -200,22 +233,31 @@ func TestRouterFailover(t *testing.T) {
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
 
+	diffBody := diffBodyOwnedBy(t, rt.ring, servers[0].URL)
 	key := keyOwnedBy(t, rt.ring, servers[0].URL, "fall")
 	servers[0].Close() // kill the owner
 
-	resp, data := putDoc(t, router.URL, key, "Survives the owner being down.")
+	resp, data := postJSON(t, http.MethodPost, router.URL+"/v1/diff", json.RawMessage(diffBody))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT with owner down: status %d: %s", resp.StatusCode, data)
+		t.Fatalf("diff with owner down: status %d: %s", resp.StatusCode, data)
 	}
 	if rep := resp.Header.Get("X-Route-Replica"); rep != servers[1].URL {
 		t.Errorf("failover served by %s, want successor %s", rep, servers[1].URL)
+	}
+
+	resp, data = putDoc(t, router.URL, key, "Never lands on the successor.")
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("PUT with owner down: status %d, want 502: %s", resp.StatusCode, data)
+	}
+	if keys := stores[1].Keys(); len(keys) != 0 {
+		t.Errorf("successor holds %v: a document write failed over", keys)
 	}
 	snap := rt.Snapshot()
 	if snap.Failovers != 1 {
 		t.Errorf("failovers = %d, want 1", snap.Failovers)
 	}
-	if snap.Relayed != 1 || snap.Failed != 0 {
-		t.Errorf("relayed=%d failed=%d, want 1/0: %+v", snap.Relayed, snap.Failed, snap)
+	if snap.Relayed != 1 || snap.Failed != 1 {
+		t.Errorf("relayed=%d failed=%d, want 1/1: %+v", snap.Relayed, snap.Failed, snap)
 	}
 }
 
@@ -314,57 +356,6 @@ func TestRouter429PassThrough(t *testing.T) {
 	}
 }
 
-// TestRouterHedgedRead: a slow owner past the hedge threshold races a
-// second copy on the successor; the fast answer wins and the win is
-// counted.
-func TestRouterHedgedRead(t *testing.T) {
-	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		<-release
-		io.WriteString(w, `{"from":"slow"}`)
-	}))
-	defer slow.Close()
-	defer close(release)
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		io.WriteString(w, `{"from":"fast"}`)
-	}))
-	defer fast.Close()
-
-	rt := newTestRouter(t, Config{
-		Replicas:      []string{slow.URL, fast.URL},
-		ProbeInterval: time.Hour,
-		HedgeAfter:    20 * time.Millisecond,
-	})
-	router := httptest.NewServer(rt.Handler())
-	defer router.Close()
-
-	key := keyOwnedBy(t, rt.ring, slow.URL, "tail")
-	resp, err := http.Get(router.URL + "/v1/docs/" + key + "/versions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte("fast")) {
-		t.Fatalf("hedged read: status %d body %s, want the fast replica's answer", resp.StatusCode, data)
-	}
-	if rep := resp.Header.Get("X-Route-Replica"); rep != fast.URL {
-		t.Errorf("served by %s, want hedge winner %s", rep, fast.URL)
-	}
-	snap := rt.Snapshot()
-	if snap.HedgesLaunched != 1 || snap.HedgesWon != 1 {
-		t.Errorf("hedges launched=%d won=%d, want 1/1", snap.HedgesLaunched, snap.HedgesWon)
-	}
-}
-
 // TestRouterFeedProxy: an SSE feed streams through the router — the
 // snapshot arrives, and a change committed after subscription reaches
 // the subscriber through the proxy without buffering it to death.
@@ -423,7 +414,8 @@ func TestRouterFeedProxy(t *testing.T) {
 
 // TestRouterProbeEjectionAndReadmission: a replica failing /readyz is
 // ejected after Fall probes and re-admitted (with its breaker cleared)
-// after Rise passing probes — traffic follows.
+// after Rise passing probes. Stateless traffic follows the ejection;
+// a document key the ejected replica owns is refused until it returns.
 func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
@@ -455,23 +447,31 @@ func TestRouterProbeEjectionAndReadmission(t *testing.T) {
 	ready.Store(false)
 	waitFor(t, "ejection after failing probes", func() bool { return !rep.Healthy() })
 
-	// While ejected, a request for a key the flappy replica owns must
-	// land on the steady one.
-	key := keyOwnedBy(t, rt.ring, flappy.URL, "eject")
-	resp, err := http.Get(router.URL + "/v1/docs/" + key + "/versions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	// While ejected, a diff the flappy replica owns lands on the steady
+	// one, and a document key it owns gets 503: no other replica holds
+	// that document.
+	resp, _ := postJSON(t, http.MethodPost, router.URL+"/v1/diff",
+		json.RawMessage(diffBodyOwnedBy(t, rt.ring, flappy.URL)))
 	if got := resp.Header.Get("X-Route-Replica"); got != steady.URL {
-		t.Errorf("request during ejection served by %s, want %s", got, steady.URL)
+		t.Errorf("diff during ejection served by %s, want %s", got, steady.URL)
+	}
+	key := keyOwnedBy(t, rt.ring, flappy.URL, "eject")
+	resp, data := postJSON(t, http.MethodGet, router.URL+"/v1/docs/"+key+"/versions", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || errorCode(data) != "owner_unavailable" {
+		t.Errorf("document read during ejection: status %d %s, want 503 owner_unavailable", resp.StatusCode, data)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
 	}
 
 	ready.Store(true)
 	waitFor(t, "re-admission after passing probes", func() bool { return rep.Alive() })
 	if rep.breaker.Open() {
 		t.Error("breaker still open after probe-driven re-admission")
+	}
+	resp, _ = postJSON(t, http.MethodGet, router.URL+"/v1/docs/"+key+"/versions", nil)
+	if got := resp.Header.Get("X-Route-Replica"); got != flappy.URL {
+		t.Errorf("document read after re-admission served by %q, want owner %s", got, flappy.URL)
 	}
 }
 
@@ -540,16 +540,144 @@ func TestRouterDrainAndAccounting(t *testing.T) {
 	}
 }
 
+// TestRouterShutdownSeversFeed: Shutdown cuts a proxied feed stream
+// loose instead of waiting it out — it returns nil well inside its
+// deadline, the subscriber's stream ends, and no goroutine is left
+// behind.
+func TestRouterShutdownSeversFeed(t *testing.T) {
+	defer testleak.Check(t)()
+	st := store.New(store.Config{})
+	defer st.Close()
+	sv := server.New(server.Config{Store: st, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	rt := New(Config{
+		Replicas:      []string{ts.URL},
+		ProbeInterval: 10 * time.Millisecond,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+
+	if resp, data := putDoc(t, router.URL, "fed", "The watched content sits here."); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed PUT: %d: %s", resp.StatusCode, data)
+	}
+	resp, err := http.Get(router.URL + "/v1/docs/fed/feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("feed: status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "data:") {
+	}
+	if !strings.HasPrefix(sc.Text(), "data:") {
+		t.Fatalf("feed ended before its snapshot: %v", sc.Err())
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an open feed: %v", err)
+	}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		for sc.Scan() {
+		}
+	}()
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Fatal("subscriber's stream still open after Shutdown")
+	}
+}
+
+// TestRouterDocList: GET /v1/docs merges the replicas' listings in key
+// order, keeps each key only from its ring owner (a stray copy written
+// straight to another replica is not listed), and fails closed with
+// 503 owner_unavailable while any replica cannot answer.
+func TestRouterDocList(t *testing.T) {
+	var replicas []string
+	var servers []*httptest.Server
+	for i := 0; i < 3; i++ {
+		_, ts := newReplicaServer(t)
+		replicas = append(replicas, ts.URL)
+		servers = append(servers, ts)
+	}
+	rt := newTestRouter(t, Config{Replicas: replicas})
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+
+	want := map[string]string{} // key -> fingerprint its owner acknowledged
+	for i, u := range replicas {
+		for _, hint := range []string{"list-a", "list-b"} {
+			key := keyOwnedBy(t, rt.ring, u, fmt.Sprintf("%s%d", hint, i))
+			resp, data := putDoc(t, router.URL, key, "Listed content for "+key+".")
+			var ack server.DocPutResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &ack) != nil {
+				t.Fatalf("PUT %s: %d: %s", key, resp.StatusCode, data)
+			}
+			want[key] = ack.Fingerprint
+		}
+	}
+	// Stray copies on a non-owner: a divergent copy of a listed key, and
+	// a key the router never routed.
+	listed := keyOwnedBy(t, rt.ring, replicas[0], "list-a0")
+	stray := keyOwnedBy(t, rt.ring, replicas[0], "stray")
+	for _, key := range []string{listed, stray} {
+		if resp, data := putDoc(t, replicas[1], key, "A stray copy that diverges."); resp.StatusCode != http.StatusOK {
+			t.Fatalf("direct PUT %s: %d: %s", key, resp.StatusCode, data)
+		}
+	}
+
+	resp, data := postJSON(t, http.MethodGet, router.URL+"/v1/docs", nil)
+	var list server.DocListResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &list) != nil {
+		t.Fatalf("listing: %d: %s", resp.StatusCode, data)
+	}
+	if len(list.Docs) != len(want) {
+		t.Fatalf("listing has %d docs, want %d: %s", len(list.Docs), len(want), data)
+	}
+	for i, d := range list.Docs {
+		if i > 0 && list.Docs[i-1].Key >= d.Key {
+			t.Errorf("listing out of key order at %d: %q after %q", i, d.Key, list.Docs[i-1].Key)
+		}
+		if fp, ok := want[d.Key]; !ok || d.Latest.Fingerprint != fp {
+			t.Errorf("listed %s fingerprint %s, want the owner's %q", d.Key, d.Latest.Fingerprint, fp)
+		}
+	}
+
+	// One replica down: no partial listing, whether the replica fails
+	// the attempt or has already been ejected.
+	servers[2].Close()
+	for _, phase := range []string{"unreachable", "ejected"} {
+		if phase == "ejected" {
+			waitFor(t, "ejection", func() bool { return !rt.reps[replicas[2]].Healthy() })
+		}
+		resp, data := postJSON(t, http.MethodGet, router.URL+"/v1/docs", nil)
+		if resp.StatusCode != http.StatusServiceUnavailable || errorCode(data) != "owner_unavailable" {
+			t.Errorf("%s replica: listing status %d %s, want 503 owner_unavailable", phase, resp.StatusCode, data)
+		}
+	}
+	snap := rt.Snapshot()
+	if snap.Requests != snap.Relayed+snap.NoReplica+snap.Failed+snap.RejectedDraining {
+		t.Errorf("accounting broken: %+v", snap)
+	}
+}
+
 // TestRouterNoReplicas: when the breaker has ejected the only replica,
-// the router answers 503 no_replicas itself instead of hammering a
-// dead backend — and the accounting still sums.
+// the router answers 503 owner_unavailable itself instead of hammering
+// a dead backend — and the accounting still sums.
 func TestRouterNoReplicas(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // nothing is listening
 	rt := newTestRouter(t, Config{
-		Replicas:      []string{dead.URL},
-		ProbeInterval: time.Hour,
-		Breaker:       1,
+		Replicas:       []string{dead.URL},
+		ProbeInterval:  time.Hour,
+		Breaker:        1,
 		AttemptTimeout: time.Second,
 	})
 	router := httptest.NewServer(rt.Handler())
@@ -561,11 +689,9 @@ func TestRouterNoReplicas(t *testing.T) {
 	if resp1.StatusCode != http.StatusBadGateway {
 		t.Fatalf("first request: status %d, want 502 after transport failure", resp1.StatusCode)
 	}
-	resp2, _ := http.Get(router.URL + "/v1/docs/k/versions")
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("second request: status %d, want 503 no_replicas (breaker open)", resp2.StatusCode)
+	resp2, data := postJSON(t, http.MethodGet, router.URL+"/v1/docs/k/versions", nil)
+	if resp2.StatusCode != http.StatusServiceUnavailable || errorCode(data) != "owner_unavailable" {
+		t.Fatalf("second request: status %d %s, want 503 owner_unavailable (breaker open)", resp2.StatusCode, data)
 	}
 	snap := rt.Snapshot()
 	if snap.Failed != 1 || snap.NoReplica != 1 || snap.Relayed != 0 {

@@ -166,7 +166,7 @@ func TestChaosBatchJobStorm(t *testing.T) {
 	// TTL leg: a terminal job outlives its retention only until the
 	// next sweep-triggering read.
 	waitFor(t, "some job to finish", func() bool { return s.met.Jobs.Done.Load() > 0 })
-	time.Sleep(60 * time.Millisecond) // let JobTTL lapse
+	time.Sleep(60 * time.Millisecond)                                                        // let JobTTL lapse
 	status, body, _ := postJSON(t, ts, "/v1/jobs/diff", JobSubmitRequest{DiffRequest: tiny}) // submit sweeps
 	mu.Lock()
 	submits++

@@ -26,12 +26,12 @@ const (
 	// EventCatchUp is emitted right after the snapshot when the
 	// subscriber supplied a Since version that does not match the
 	// current latest — older (versions were committed while the
-	// consumer was away) or, after failing over to a fresh replica,
-	// newer than anything this store has (the version chain here is a
-	// different, shorter history). Either way the consumer's notion of
-	// the document has diverged from this server's and it should fetch
-	// the current state (e.g. /v1/docs/{key}/diff?from=&to= or a
-	// checkout) to resync, then follow the change events from the
+	// consumer was away) or, after an in-memory replica restarted
+	// empty, newer than anything this store has (the version chain here
+	// is a different, shorter history). Either way the consumer's
+	// notion of the document has diverged from this server's and it
+	// should fetch the current state (e.g. /v1/docs/{key}/diff?from=&to=
+	// or a checkout) to resync, then follow the change events from the
 	// snapshot version.
 	EventCatchUp EventType = "catchup"
 	// EventChange is a live change notification for one newly committed
@@ -180,9 +180,10 @@ func (s *Store) Subscribe(key string, opts SubscribeOptions) (*Subscription, err
 	s.deliver(sub, Event{Type: EventSnapshot, Key: key, Version: latest.Version,
 		Fingerprint: latest.Fingerprint, Nodes: latest.Nodes, Time: time.Now().UTC()})
 	// A consumer behind the head missed commits; a consumer *ahead* of
-	// the head is resuming against a fresh replica whose chain restarted
-	// (failover). Both are divergence, both get the catch-up hint —
-	// erroring or staying silent would strand the consumer.
+	// the head is resuming against a replica whose chain restarted (an
+	// in-memory store that came back empty). Both are divergence, both
+	// get the catch-up hint — erroring or staying silent would strand
+	// the consumer.
 	if opts.Since > 0 && latest.Version != opts.Since {
 		s.deliver(sub, Event{Type: EventCatchUp, Key: key, Version: latest.Version,
 			Fingerprint: latest.Fingerprint, Nodes: latest.Nodes, Time: time.Now().UTC()})

@@ -60,33 +60,33 @@ func TestFeedFilterSemantics(t *testing.T) {
 		wantKind string // a kind that must appear among the hits
 	}{
 		{
-			name: "unfiltered-update-fires",
-			next: "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			name:   "unfiltered-update-fires",
+			next:   "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "", wantFire: true, wantKind: "UPD",
 		},
 		{
-			name: "upd-filter-sees-update",
-			next: "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			name:   "upd-filter-sees-update",
+			next:   "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "**/s[upd]", wantFire: true, wantKind: "UPD",
 		},
 		{
-			name: "ins-filter-ignores-update",
-			next: "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			name:   "ins-filter-ignores-update",
+			next:   "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "**/s[ins]", wantFire: false,
 		},
 		{
-			name: "ins-filter-sees-insert",
-			next: "doc\n  p\n    s \"alpha beta gamma delta\"\n    s \"epsilon zeta eta theta\"\n    s \"brand new sentence here\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			name:   "ins-filter-sees-insert",
+			next:   "doc\n  p\n    s \"alpha beta gamma delta\"\n    s \"epsilon zeta eta theta\"\n    s \"brand new sentence here\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "**/s[ins]", wantFire: true, wantKind: "INS",
 		},
 		{
-			name: "del-filter-sees-delete",
-			next: "doc\n  p\n    s \"alpha beta gamma delta\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			name:   "del-filter-sees-delete",
+			next:   "doc\n  p\n    s \"alpha beta gamma delta\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "**/s[del]", wantFire: true, wantKind: "DEL",
 		},
 		{
-			name: "mov-filter-sees-move",
-			next: "doc\n  p\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n    s \"alpha beta gamma delta\"\n",
+			name:   "mov-filter-sees-move",
+			next:   "doc\n  p\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n    s \"alpha beta gamma delta\"\n",
 			filter: "**/s[mov]", wantFire: true, wantKind: "MOV",
 		},
 		{
@@ -95,7 +95,7 @@ func TestFeedFilterSemantics(t *testing.T) {
 			// sentences of the second (index is positional in the delta
 			// tree, so scope by content kind instead: watch deletions
 			// under doc/p while only an update happened).
-			next: "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
+			next:   "doc\n  p\n    s \"alpha beta gamma NU\"\n    s \"epsilon zeta eta theta\"\n  p\n    s \"iota kappa lambda mu\"\n",
 			filter: "doc/p/s[del]", wantFire: false,
 		},
 	}
