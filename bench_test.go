@@ -167,14 +167,12 @@ func BenchmarkStageFastMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStageFastMatchUntuned is BenchmarkStageFastMatch with the
-// comparison memo and parallel rounds disabled — the floor the memo
-// layer is measured against (the Euler index and bounded word-LCS cannot
-// be disabled; the seed engine's numbers are recorded in
-// BENCH_matching.json).
-func BenchmarkStageFastMatchUntuned(b *testing.B) {
+// BenchmarkStageFastMatchSequential is BenchmarkStageFastMatch with
+// the parallel rounds disabled (the seed engine's numbers are recorded
+// in BENCH_matching.json).
+func BenchmarkStageFastMatchSequential(b *testing.B) {
 	oldT, newT := mediumPair(b)
-	opts := match.Options{DisableMemo: true, Parallelism: 1}
+	opts := match.Options{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := match.FastMatch(oldT, newT, opts); err != nil {

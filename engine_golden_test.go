@@ -32,7 +32,7 @@ var engineGoldens = []engineGolden{
 		delta:  "bc5ed0894ac532f8579449efc725806feb735001996dd9ee0ef1001a85cebf5c",
 		marked: "156b0fe084995e8ee26226885e4f94f959f63a96a5eae45f4cf18f849e47b6c6",
 		work:   ladiff.WorkStats{Visits: 156, AlignEquals: 49, PosScans: 98, Ops: 37, EffectivePosScans: 365, EffectiveAlignEquals: 49},
-		stats:  ladiff.MatchStats{LeafCompares: 1364, PartnerChecks: 971, EffectiveLeafCompares: 1119, EffectivePartnerChecks: 813, LeafMemoHits: 245, InternalMemoHits: 18},
+		stats:  ladiff.MatchStats{LeafCompares: 1364, PartnerChecks: 971, EffectiveLeafCompares: 1364},
 	},
 	{
 		class:  "wide-flat",
@@ -40,7 +40,7 @@ var engineGoldens = []engineGolden{
 		delta:  "462aed8326a923368710e91c8bf7c0bcff8987271023369517f35c3bef433384",
 		marked: "d06326f4d429fc643917323b171f7758bac92cdbd03405c2871109f695d3ab1a",
 		work:   ladiff.WorkStats{Visits: 377, AlignEquals: 0, PosScans: 12199, Ops: 220, EffectivePosScans: 3430, EffectiveAlignEquals: 0},
-		stats:  ladiff.MatchStats{LeafCompares: 21235, PartnerChecks: 2313, EffectiveLeafCompares: 14976, EffectivePartnerChecks: 1285, LeafMemoHits: 6259, InternalMemoHits: 8},
+		stats:  ladiff.MatchStats{LeafCompares: 21235, PartnerChecks: 2313, EffectiveLeafCompares: 21235},
 	},
 	{
 		class:  "near-duplicates",
@@ -48,7 +48,7 @@ var engineGoldens = []engineGolden{
 		delta:  "b76b125d8f4688d9e188435da4c5861db5a821f5015191c408e8f9b2ea8eea9b",
 		marked: "414799de984ccbba9b1767213862c32c4e0f11187806b43a99a8696762b286b7",
 		work:   ladiff.WorkStats{Visits: 168, AlignEquals: 58, PosScans: 120, Ops: 43, EffectivePosScans: 407, EffectiveAlignEquals: 58},
-		stats:  ladiff.MatchStats{LeafCompares: 1172, PartnerChecks: 819, EffectiveLeafCompares: 1013, EffectivePartnerChecks: 702, LeafMemoHits: 159, InternalMemoHits: 12},
+		stats:  ladiff.MatchStats{LeafCompares: 1172, PartnerChecks: 819, EffectiveLeafCompares: 1172},
 	},
 	{
 		class:  "move-heavy",
@@ -56,7 +56,7 @@ var engineGoldens = []engineGolden{
 		delta:  "eb1fec73f7a18b9a3518643a9f95ba5efc493730ec214c97a03079a3b32e56d5",
 		marked: "68da6cf53720aaf8d3dc5cf617f6ab410009df721f47a3b58d6b0ce75ec8b463",
 		work:   ladiff.WorkStats{Visits: 153, AlignEquals: 34, PosScans: 236, Ops: 56, EffectivePosScans: 567, EffectiveAlignEquals: 34},
-		stats:  ladiff.MatchStats{LeafCompares: 1275, PartnerChecks: 2008, EffectiveLeafCompares: 1130, EffectivePartnerChecks: 1284, LeafMemoHits: 145, InternalMemoHits: 75},
+		stats:  ladiff.MatchStats{LeafCompares: 1275, PartnerChecks: 2008, EffectiveLeafCompares: 1275},
 	},
 	{
 		class:  "insert-delete-heavy",
@@ -64,7 +64,7 @@ var engineGoldens = []engineGolden{
 		delta:  "da9f63bdc25191d699f6eca7b9d217c615ce5efc929241c14bc797bcb6b1bfeb",
 		marked: "06482224930e3c7adb5a4f729bf6324ec7eda1a56facd2fe6e523d8f71300ead",
 		work:   ladiff.WorkStats{Visits: 159, AlignEquals: 48, PosScans: 107, Ops: 38, EffectivePosScans: 337, EffectiveAlignEquals: 48},
-		stats:  ladiff.MatchStats{LeafCompares: 499, PartnerChecks: 541, EffectiveLeafCompares: 422, EffectivePartnerChecks: 472, LeafMemoHits: 77, InternalMemoHits: 9},
+		stats:  ladiff.MatchStats{LeafCompares: 499, PartnerChecks: 541, EffectiveLeafCompares: 499},
 	},
 	{
 		class:  "update-heavy",
@@ -72,7 +72,7 @@ var engineGoldens = []engineGolden{
 		delta:  "98e3250f48a7320f13cf5c6f5616ecb330e70758ebe76d71464b927cb2e24194",
 		marked: "910ab118517a9147b55feb6bc67aa53c333360f3a76f4ac4d5753189caffbd11",
 		work:   ladiff.WorkStats{Visits: 164, AlignEquals: 40, PosScans: 124, Ops: 52, EffectivePosScans: 349, EffectiveAlignEquals: 40},
-		stats:  ladiff.MatchStats{LeafCompares: 734, PartnerChecks: 690, EffectiveLeafCompares: 601, EffectivePartnerChecks: 571, LeafMemoHits: 133, InternalMemoHits: 14},
+		stats:  ladiff.MatchStats{LeafCompares: 734, PartnerChecks: 690, EffectiveLeafCompares: 734},
 	},
 	{
 		class:  "sparse-1pct",
@@ -80,7 +80,7 @@ var engineGoldens = []engineGolden{
 		delta:  "0948765d69e8e10d9f42a039fd6bd607e836b8a835f6af70745ee66e9508bc15",
 		marked: "5825b3e901ec1662f280fc936af0ab463e0b7ad89de7e2369878d8fe1f92b359",
 		work:   ladiff.WorkStats{Visits: 10533, AlignEquals: 5228, PosScans: 149, Ops: 49, EffectivePosScans: 722, EffectiveAlignEquals: 5228},
-		stats:  ladiff.MatchStats{LeafCompares: 9179, PartnerChecks: 25865, EffectiveLeafCompares: 9129, EffectivePartnerChecks: 25842, LeafMemoHits: 50, InternalMemoHits: 5},
+		stats:  ladiff.MatchStats{LeafCompares: 9179, PartnerChecks: 25865, EffectiveLeafCompares: 9179},
 	},
 }
 

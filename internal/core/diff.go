@@ -176,10 +176,6 @@ func MatchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options)
 	s := *opts.Stats
 	sp.Int("r1_leaf_compares", s.LeafCompares-pre.LeafCompares)
 	sp.Int("r2_partner_checks", s.PartnerChecks-pre.PartnerChecks)
-	sp.Int("effective_leaf_compares", s.EffectiveLeafCompares-pre.EffectiveLeafCompares)
-	sp.Int("effective_partner_checks", s.EffectivePartnerChecks-pre.EffectivePartnerChecks)
-	memoHits := (s.LeafMemoHits - pre.LeafMemoHits) + (s.InternalMemoHits - pre.InternalMemoHits)
-	sp.Int("memo_hits", memoHits)
 	if m != nil {
 		sp.Int("pairs", int64(m.Len()))
 	}
@@ -190,7 +186,6 @@ func MatchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options)
 		sp.Str("error", err.Error())
 	}
 	sp.End()
-	obs.MatchMemoHits.Add(memoHits)
 	if len(reasons) > 0 {
 		obs.MatchFallbacks.Add(1)
 	}

@@ -23,11 +23,11 @@ type Class struct {
 // Classes returns the standard workload classes. The first six are the
 // battery classes: document shape and duplicate pressure crossed with
 // the perturbation mixes, each stressing a different phase (wide
-// sibling lists the generator, near-duplicates the matcher memo,
-// move-heavy the alignment pass). The last, sparse-1pct, is the
-// fingerprint ladder's home turf: a large document of long sentences
-// where roughly 1% of them change between versions, so almost every
-// subtree is claimable wholesale and leaf comparison dominates the
+// sibling lists the generator, near-duplicates the matcher's threshold
+// decisions, move-heavy the alignment pass). The last, sparse-1pct, is
+// the fingerprint ladder's home turf: a large document of long
+// sentences where roughly 1% of them change between versions, so almost
+// every subtree is claimable wholesale and leaf comparison dominates the
 // unpruned run.
 func Classes() []Class {
 	return []Class{
@@ -158,4 +158,88 @@ func rightComb(values []string) *tree.Tree {
 		spine = t.AppendChild(spine, LabelParagraph, "")
 	}
 	return t
+}
+
+// MultiLabelPair returns a seeded pair of multi-label trees: a "doc"
+// root over slots internal nodes of 2–5 leaves each, the internal labels
+// drawn from labels names (i0, i1, …) and the leaf labels from labels
+// more (l0, l1, …). Every bottom-up rank but the root's then holds
+// several labels, so the matcher's rank rounds can run in parallel; the
+// document schema has one label per rank and never does. edit scales
+// the new side's edits: at 1 it rewrites one word in 25% of the leaves,
+// replaces 10% and deletes 5%, then moves a leaf between random slots
+// slots/3 times and swaps slots/10 pairs of slots; at 0 the new side is
+// a copy. Like RightCombPair, the pair is not in Classes().
+func MultiLabelPair(seed int64, labels, slots int, edit float64) (old, new *tree.Tree) {
+	rng := rand.New(rand.NewSource(seed))
+	sentence := func() string {
+		words := make([]string, 6+rng.Intn(9))
+		for i := range words {
+			words[i] = word(rng, 600)
+		}
+		return strings.Join(words, " ")
+	}
+	pick := func(prefix string) tree.Label {
+		return tree.Label(fmt.Sprintf("%s%d", prefix, rng.Intn(labels)))
+	}
+	type leaf struct {
+		label tree.Label
+		value string
+	}
+	type slot struct {
+		label  tree.Label
+		leaves []leaf
+	}
+	all := make([]slot, slots)
+	for i := range all {
+		all[i].label = pick("i")
+		for j := 2 + rng.Intn(4); j > 0; j-- {
+			all[i].leaves = append(all[i].leaves, leaf{pick("l"), sentence()})
+		}
+	}
+	build := func() *tree.Tree {
+		t := tree.NewWithRoot("doc", "")
+		for _, s := range all {
+			p := t.AppendChild(t.Root(), s.label, "")
+			for _, l := range s.leaves {
+				t.AppendChild(p, l.label, l.value)
+			}
+		}
+		return t
+	}
+	old = build()
+
+	for i := range all {
+		var kept []leaf
+		for _, l := range all[i].leaves {
+			switch p := rng.Float64(); {
+			case p < 0.05*edit:
+				continue
+			case p < 0.15*edit:
+				l.value = sentence()
+			case p < 0.40*edit:
+				words := strings.Fields(l.value)
+				words[rng.Intn(len(words))] = word(rng, 600)
+				l.value = strings.Join(words, " ")
+			}
+			kept = append(kept, l)
+		}
+		all[i].leaves = kept
+	}
+	for n := int(edit * float64(slots/3)); n > 0; n-- {
+		src, dst := &all[rng.Intn(slots)], &all[rng.Intn(slots)]
+		if len(src.leaves) == 0 {
+			continue
+		}
+		k := rng.Intn(len(src.leaves))
+		l := src.leaves[k]
+		src.leaves = append(src.leaves[:k], src.leaves[k+1:]...)
+		k = rng.Intn(len(dst.leaves) + 1)
+		dst.leaves = append(dst.leaves[:k], append([]leaf{l}, dst.leaves[k:]...)...)
+	}
+	for n := int(edit * float64(slots/10)); n > 0; n-- {
+		i, j := rng.Intn(slots), rng.Intn(slots)
+		all[i], all[j] = all[j], all[i]
+	}
+	return old, build()
 }

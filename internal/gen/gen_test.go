@@ -180,3 +180,37 @@ func TestRightCombPair(t *testing.T) {
 		t.Fatal("the new comb is unedited")
 	}
 }
+
+func TestMultiLabelPair(t *testing.T) {
+	old, new := gen.MultiLabelPair(3, 4, 60, 1)
+	again, _ := gen.MultiLabelPair(3, 4, 60, 1)
+	if !tree.Isomorphic(old, again) {
+		t.Fatal("same seed must generate identical trees")
+	}
+	if tree.Isomorphic(old, new) {
+		t.Fatal("edit 1 left the new tree unedited")
+	}
+	if _, same := gen.MultiLabelPair(3, 4, 60, 0); !tree.Isomorphic(old, same) {
+		t.Fatal("edit 0 must return a copy")
+	}
+	if got := old.Root().NumChildren(); got != 60 {
+		t.Fatalf("%d slots, want 60", got)
+	}
+	internal, leaf := map[tree.Label]bool{}, map[tree.Label]bool{}
+	for _, slot := range old.Root().Children() {
+		if n := slot.NumChildren(); n < 2 || n > 5 {
+			t.Fatalf("slot %v has %d leaves, want 2–5", slot, n)
+		}
+		internal[slot.Label()] = true
+		for _, l := range slot.Children() {
+			if !l.IsLeaf() {
+				t.Fatalf("slot child %v is not a leaf", l)
+			}
+			leaf[l.Label()] = true
+		}
+	}
+	// Every name appears, so each rank group holds four labels.
+	if len(internal) != 4 || len(leaf) != 4 {
+		t.Fatalf("internal labels %v, leaf labels %v; want 4 of each", internal, leaf)
+	}
+}

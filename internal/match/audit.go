@@ -35,6 +35,7 @@ func Criterion3Violations(t1, t2 *tree.Tree, opts Options) (oldIDs, newIDs []tre
 	}
 	within1 := func(a, b *tree.Node) bool {
 		mr.opts.Stats.LeafCompares++
+		mr.opts.Stats.EffectiveLeafCompares++
 		return distance(a.Value(), b.Value()) <= 1
 	}
 	for label, xs := range l1 {

@@ -71,15 +71,9 @@ type Options struct {
 	Stats *Stats
 	// Parallelism bounds the worker pool used to process independent
 	// same-rank label rounds concurrently. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces fully sequential rounds. Results (and the logical r1/r2
-	// counters) are bit-identical at every setting; only the effective
-	// work counters and wall-clock vary.
+	// 1 forces fully sequential rounds. Results and every Stats counter
+	// are bit-identical at every setting; only wall-clock varies.
 	Parallelism int
-	// DisableMemo turns off the pair-equality memo layer, forcing every
-	// logical comparison to recompute. The matching and the logical
-	// r1/r2 counters are identical either way; the knob exists so tests
-	// and benchmarks can verify and measure exactly that.
-	DisableMemo bool
 	// Ctx, when non-nil, bounds the run: the matchers poll it between
 	// label rounds and periodically inside the pairing loops (every
 	// ctxPollStride equality evaluations), and return ctx.Err() wrapped
@@ -131,12 +125,8 @@ func (o Options) withDefaults() (Options, error) {
 //
 // r1 and r2 count *logical* comparisons — what the algorithms of Figures
 // 10–11 perform — so Figure 13(b) regeneration is independent of the
-// engine's shortcuts. The memo layer and the Euler interval index let the
-// engine answer many of those comparisons without redoing the work; the
-// Effective* counters record the work that actually ran, and the memo-hit
-// counters the answers served from cache. Logical counters are identical
-// across memoized/unmemoized and sequential/parallel runs; effective
-// counters are where the savings show.
+// engine's shortcuts. Every counter is identical across sequential and
+// parallel runs.
 type Stats struct {
 	// LeafCompares is r1: how many times the compare function logically
 	// ran (leaf-pair and empty-container value comparisons).
@@ -145,18 +135,11 @@ type Stats struct {
 	// internal-node equality evaluation logically performed.
 	PartnerChecks int64
 	// EffectiveLeafCompares counts compare-function invocations that
-	// actually executed (memo misses). LeafCompares −
-	// EffectiveLeafCompares is the work saved by the leaf memo.
+	// actually executed. Every logical leaf compare runs the comparer,
+	// so it always equals LeafCompares; the field stays because the
+	// perfbench harness reads it (its match.memo_hit_ratio,
+	// 1 − EffectiveLeafCompares/LeafCompares, is therefore 0).
 	EffectiveLeafCompares int64
-	// EffectivePartnerChecks counts partner lookups and interval tests
-	// that actually executed inside common().
-	EffectivePartnerChecks int64
-	// LeafMemoHits counts leaf-pair equality answers served from the
-	// memo without invoking the comparer.
-	LeafMemoHits int64
-	// InternalMemoHits counts internal-pair equality answers served from
-	// the memo without re-running common().
-	InternalMemoHits int64
 	// PrunedSubtrees counts wholesale subtree claims committed by the
 	// fingerprint pruning pass (zero unless Options.PruneIdentical).
 	// Pruned work is deliberately outside r1/r2: those count the logical
@@ -177,9 +160,6 @@ func (s *Stats) Add(other Stats) {
 	s.LeafCompares += other.LeafCompares
 	s.PartnerChecks += other.PartnerChecks
 	s.EffectiveLeafCompares += other.EffectiveLeafCompares
-	s.EffectivePartnerChecks += other.EffectivePartnerChecks
-	s.LeafMemoHits += other.LeafMemoHits
-	s.InternalMemoHits += other.InternalMemoHits
 	s.PrunedSubtrees += other.PrunedSubtrees
 	s.PrunedPairs += other.PrunedPairs
 	s.PruneVerifyNodes += other.PruneVerifyNodes
@@ -187,29 +167,6 @@ func (s *Stats) Add(other Stats) {
 
 // Total returns r1 + r2, the comparison count reported in Figure 13(b).
 func (s *Stats) Total() int64 { return s.LeafCompares + s.PartnerChecks }
-
-// EffectiveTotal returns the comparisons that actually executed after
-// memoization — the engine-level counterpart of Total.
-func (s *Stats) EffectiveTotal() int64 {
-	return s.EffectiveLeafCompares + s.EffectivePartnerChecks
-}
-
-// pairKey identifies one (old node, new node) comparison in the memo
-// maps.
-type pairKey struct {
-	old, new tree.NodeID
-}
-
-// internalMemoEntry caches one internal-equality evaluation. The entry
-// is valid only while the leaf matching is unchanged (epoch equality):
-// common() depends on which leaves are matched, so any leaf pair added
-// or removed invalidates it. charged replays the logical r2 cost on a
-// hit, keeping the logical counters identical to an unmemoized run.
-type internalMemoEntry struct {
-	result  bool
-	charged int64
-	epoch   int64
-}
 
 // matcher carries the shared state of one matching run.
 type matcher struct {
@@ -224,16 +181,6 @@ type matcher struct {
 	// words1/words2 cache compare.Words(value) per node per tree; the
 	// token path runs only when Options.Compare is nil.
 	words1, words2 map[tree.NodeID][]string
-	// leafMemo caches value-rule equality per pair. Value equality
-	// depends only on the two values and the thresholds, never on the
-	// matching, so entries stay valid for the whole run.
-	leafMemo map[pairKey]bool
-	// internalMemo caches internal-rule equality per pair, valid while
-	// leafEpoch is unchanged.
-	internalMemo map[pairKey]internalMemoEntry
-	// leafEpoch counts leaf-pair additions and removals; bumping it
-	// invalidates internalMemo wholesale.
-	leafEpoch int64
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
@@ -328,8 +275,6 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		t1: t1, t2: t2,
 		idx1: t1.Index(), idx2: t2.Index(),
 		opts: opts, m: NewMatching(),
-		leafMemo:     make(map[pairKey]bool),
-		internalMemo: make(map[pairKey]internalMemoEntry),
 	}
 	if opts.Compare == nil {
 		// The token path splits the value of nearly every leaf once.
@@ -371,8 +316,7 @@ func (mr *matcher) partnerOfOld(x tree.NodeID) (tree.NodeID, bool) {
 }
 
 // add records the pair (x, y), panicking on a one-to-one violation —
-// callers check both sides unmatched first. Adding a leaf pair bumps
-// leafEpoch, invalidating the internal-equality memo.
+// callers check both sides unmatched first.
 func (mr *matcher) add(x, y *tree.Node) {
 	target := mr.m
 	if mr.local != nil {
@@ -381,27 +325,17 @@ func (mr *matcher) add(x, y *tree.Node) {
 	if err := target.Add(x.ID(), y.ID()); err != nil {
 		panic(err)
 	}
-	if x.IsLeaf() {
-		mr.leafEpoch++
-	}
 }
 
-// removeOld removes the pair involving old node x, if any, bumping
-// leafEpoch for leaf pairs. Only the post-processing pass removes pairs;
-// it never runs forked, so removal always targets the base matching.
-func (mr *matcher) removeOld(x tree.NodeID) {
-	if n := mr.t1.Node(x); n != nil && n.IsLeaf() {
-		mr.leafEpoch++
-	}
-	mr.m.Remove(x)
-}
-
-// valueWithinThreshold evaluates compare(v(x), v(y)) ≤ f: through the
-// caller's comparer when one is set, otherwise through the word-LCS
-// comparer's token form, which reuses cached words and stops the LCS
-// search once the distance exceeds f.
-func (mr *matcher) valueWithinThreshold(x, y *tree.Node) bool {
+// leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
+// charging one leaf compare (r1): through the caller's comparer when one
+// is set, otherwise through the word-LCS comparer's token form, which
+// reuses cached words and stops the LCS search once the distance
+// exceeds f.
+func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
+	mr.opts.Stats.LeafCompares++
 	mr.opts.Stats.EffectiveLeafCompares++
+	mr.charge(1)
 	if mr.opts.Compare != nil {
 		return mr.opts.Compare(x.Value(), y.Value()) <= mr.opts.LeafThreshold
 	}
@@ -420,25 +354,6 @@ func (mr *matcher) tokens(n *tree.Node, inOld bool) []string {
 	w := compare.Words(n.Value())
 	cache[n.ID()] = w
 	return w
-}
-
-// leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
-// charging exactly one logical leaf compare (r1) whether or not the memo
-// answers it.
-func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
-	mr.opts.Stats.LeafCompares++
-	mr.charge(1)
-	if mr.opts.DisableMemo {
-		return mr.valueWithinThreshold(x, y)
-	}
-	k := pairKey{old: x.ID(), new: y.ID()}
-	if res, ok := mr.leafMemo[k]; ok {
-		mr.opts.Stats.LeafMemoHits++
-		return res
-	}
-	res := mr.valueWithinThreshold(x, y)
-	mr.leafMemo[k] = res
-	return res
 }
 
 // equalLeaves is the leaf equality of §5.2: same label and
@@ -470,21 +385,7 @@ func (mr *matcher) equalInternal(x, y *tree.Node) bool {
 	if maxLeaves == 0 {
 		return mr.leafValueEqual(x, y)
 	}
-	k := pairKey{old: x.ID(), new: y.ID()}
-	if !mr.opts.DisableMemo {
-		if e, ok := mr.internalMemo[k]; ok && e.epoch == mr.leafEpoch {
-			mr.opts.Stats.InternalMemoHits++
-			mr.opts.Stats.PartnerChecks += e.charged
-			mr.charge(e.charged)
-			return e.result
-		}
-	}
-	common, charged := mr.common(x, y)
-	res := float64(common)/float64(maxLeaves) > mr.opts.InternalThreshold
-	if !mr.opts.DisableMemo {
-		mr.internalMemo[k] = internalMemoEntry{result: res, charged: charged, epoch: mr.leafEpoch}
-	}
-	return res
+	return float64(mr.common(x, y))/float64(maxLeaves) > mr.opts.InternalThreshold
 }
 
 // common counts matched leaf pairs (w, z) with w contained in x and z
@@ -492,13 +393,13 @@ func (mr *matcher) equalInternal(x, y *tree.Node) bool {
 // with an O(1) interval containment test per matched leaf — O(|x|) total,
 // versus the O(|x|·depth) ancestor climb of the naive formulation. In the
 // r2 work measure each leaf costs one partner lookup plus, when a partner
-// exists, one containment check; charged reports that logical cost so
-// memo hits can replay it.
-func (mr *matcher) common(x, y *tree.Node) (count int, charged int64) {
+// exists, one containment check.
+func (mr *matcher) common(x, y *tree.Node) (count int) {
 	yIn, yOut, ok := mr.idx2.Interval(y.ID())
 	if !ok {
-		return 0, 0
+		return 0
 	}
+	var charged int64
 	for _, w := range mr.idx1.LeavesUnder(x) {
 		charged++
 		zID, matched := mr.partnerOfOld(w.ID())
@@ -512,9 +413,8 @@ func (mr *matcher) common(x, y *tree.Node) (count int, charged int64) {
 		}
 	}
 	mr.opts.Stats.PartnerChecks += charged
-	mr.opts.Stats.EffectivePartnerChecks += charged
 	mr.charge(charged)
-	return count, charged
+	return count
 }
 
 // equal dispatches to the leaf or internal rule depending on the nodes'

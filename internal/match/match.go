@@ -199,9 +199,9 @@ func PostProcess(t1, t2 *tree.Tree, m *Matching, opts Options) (_ int, err error
 				}
 				// Displace cc's non-local match, if any, then re-match.
 				if oldID, ok := m.ToOld(cc.ID()); ok {
-					mr.removeOld(oldID)
+					m.Remove(oldID)
 				}
-				mr.removeOld(c.ID())
+				m.Remove(c.ID())
 				mr.add(c, cc)
 				rewritten++
 				break

@@ -19,9 +19,9 @@ import (
 // concurrent workers against a frozen base matching, with each worker
 // accumulating its label's pairs in a private overlay, and the overlays
 // merged afterward in sorted label order. Because no worker's decisions
-// depend on another's output, the merged matching — and the logical
-// r1/r2 counters — are bit-identical to the sequential run; only
-// wall-clock and the effective-work counters differ.
+// depend on another's output, the merged matching — and every Stats
+// counter — are bit-identical to the sequential run; only wall-clock
+// differs.
 //
 // Groups that fail the independence test (a group label appearing among
 // the leaf descendants of the group's internal nodes, as happens with
@@ -98,22 +98,20 @@ func (mr *matcher) runGroupParallel(group []tree.Label, process func(*matcher, t
 
 // fork returns a worker matcher that shares the trees, indexes, base
 // matching (read-only), and the run's work budget, and writes new pairs
-// to a private overlay. Memo maps, token caches, and stats are
-// worker-private so no state is shared mutably across goroutines.
+// to a private overlay. Token caches and stats are worker-private so no
+// state is shared mutably across goroutines.
 func (mr *matcher) fork() *matcher {
 	opts := mr.opts
 	opts.Stats = &Stats{}
 	return &matcher{
 		t1: mr.t1, t2: mr.t2,
 		idx1: mr.idx1, idx2: mr.idx2,
-		opts:         opts,
-		m:            mr.m,
-		local:        NewMatching(),
-		words1:       make(map[tree.NodeID][]string),
-		words2:       make(map[tree.NodeID][]string),
-		leafMemo:     make(map[pairKey]bool),
-		internalMemo: make(map[pairKey]internalMemoEntry),
-		budget:       mr.budget,
+		opts:   opts,
+		m:      mr.m,
+		local:  NewMatching(),
+		words1: make(map[tree.NodeID][]string),
+		words2: make(map[tree.NodeID][]string),
+		budget: mr.budget,
 	}
 }
 

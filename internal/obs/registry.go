@@ -33,14 +33,12 @@ var Default = NewRegistry()
 // Engine-level gauges, updated at phase boundaries (never in inner
 // loops) and only while observability is armed:
 //
-//	engine_match_memo_hits_total    leaf+internal comparison-memo hits
 //	engine_match_fallbacks_total    budget fallbacks simple/zs → fastmatch
 //	engine_gen_index_fallbacks_total indexed generator → scan retries
 //	server_pool_gets_total          buffer-pool checkouts
 //	server_pool_allocs_total        pool misses (fresh allocations);
 //	                                recycles = gets − allocs
 var (
-	MatchMemoHits     = Default.Counter("engine_match_memo_hits_total")
 	MatchFallbacks    = Default.Counter("engine_match_fallbacks_total")
 	GenIndexFallbacks = Default.Counter("engine_gen_index_fallbacks_total")
 	PoolGets          = Default.Counter("server_pool_gets_total")

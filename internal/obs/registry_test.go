@@ -40,7 +40,6 @@ func TestDerivedPoolRecycles(t *testing.T) {
 func TestDefaultRegistryGauges(t *testing.T) {
 	names := Default.Counters()
 	for _, want := range []string{
-		"engine_match_memo_hits_total",
 		"engine_match_fallbacks_total",
 		"engine_gen_index_fallbacks_total",
 		"server_pool_gets_total",

@@ -61,7 +61,7 @@ func batchItemFor(t *testing.T, ring *Ring, owner, id string) client.BatchDiffIt
 // succeeds, results come back in request order, and the replica-side
 // counters show at least two replicas shared the work.
 func TestRouterBatchSplit(t *testing.T) {
-	defer testleak.Check(t)
+	t.Cleanup(testleak.Check(t))
 	var replicas []string
 	for i := 0; i < 3; i++ {
 		_, ts := newReplicaServer(t)
@@ -132,7 +132,7 @@ func TestRouterBatchSplit(t *testing.T) {
 // TestRouterBatchPartialFailure: an invalid item fails alone with the
 // replica's own envelope; the rest of the batch still succeeds.
 func TestRouterBatchPartialFailure(t *testing.T) {
-	defer testleak.Check(t)
+	t.Cleanup(testleak.Check(t))
 	var replicas []string
 	for i := 0; i < 2; i++ {
 		_, ts := newReplicaServer(t)
@@ -169,7 +169,7 @@ func TestRouterBatchPartialFailure(t *testing.T) {
 // TestRouterBatchDeadOwner: items whose owner replica is ejected fail
 // over to the ring successor instead of failing the batch.
 func TestRouterBatchDeadOwner(t *testing.T) {
-	defer testleak.Check(t)
+	t.Cleanup(testleak.Check(t))
 	var replicas []string
 	var servers []*httptest.Server
 	for i := 0; i < 2; i++ {
@@ -204,7 +204,7 @@ func TestRouterBatchDeadOwner(t *testing.T) {
 // when the pin is lost — and a job whose replica is down is reported
 // unavailable, never gone.
 func TestRouterJobPinning(t *testing.T) {
-	defer testleak.Check(t)
+	t.Cleanup(testleak.Check(t))
 	var replicas []string
 	servers := map[string]*httptest.Server{}
 	for i := 0; i < 3; i++ {

@@ -138,8 +138,8 @@ type MetricsSnapshot struct {
 	PhaseUS   map[string]HistogramSnapshot `json:"phase_us"`
 	RequestUS HistogramSnapshot            `json:"request_us"`
 	// Engine merges the process-wide obs registry into the scrape: the
-	// engine-level gauges (matcher memo hits, match/gen-index
-	// fallbacks, buffer-pool gets/allocs/recycles). The gauges update
+	// engine-level gauges (match/gen-index fallbacks, buffer-pool
+	// gets/allocs/recycles). The gauges update
 	// only while observability is armed (ladiffd -obs, on by default),
 	// so a disabled process reports zeros here at no hot-path cost.
 	Engine map[string]int64 `json:"engine"`

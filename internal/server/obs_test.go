@@ -370,7 +370,6 @@ func TestMetricsEngineSection(t *testing.T) {
 		t.Fatal("metrics snapshot has no engine section")
 	}
 	for _, name := range []string{
-		"engine_match_memo_hits_total",
 		"engine_match_fallbacks_total",
 		"engine_gen_index_fallbacks_total",
 		"server_pool_gets_total",

@@ -72,14 +72,13 @@ type (
 	// MatchOptions configures the Good Matching criteria (§5) and the
 	// matching engine: Parallelism bounds the worker pool for
 	// independent label rounds (0 means GOMAXPROCS, 1 forces
-	// sequential), DisableMemo turns off the comparison memo for A/B
-	// measurement. Both knobs are behaviour-preserving — every
-	// configuration returns the identical matching.
+	// sequential). The knob is behaviour-preserving — every setting
+	// returns the identical matching.
 	MatchOptions = match.Options
 	// MatchStats carries the §8 work counters: LeafCompares/
 	// PartnerChecks are the logical r1/r2 of Figure 13(b), invariant
-	// across engine configurations; the Effective* fields count the
-	// work that actually executed after memoization.
+	// across engine configurations; EffectiveLeafCompares counts the
+	// comparer runs, which always equal LeafCompares.
 	MatchStats = match.Stats
 
 	// WorkStats counts Algorithm EditScript's abstract work (Result.Work):
