@@ -2,8 +2,8 @@
 // BENCH_hashing.json artifact. Three engine measurements — the
 // sparse-edit win (the ladder's reason to exist), the identical-pair
 // short circuit, and the worst-case overhead when pruning can claim
-// nothing — plus a serving-layer run showing the fingerprint-keyed
-// diff cache under a zipf-skewed repeated-document workload.
+// nothing — plus a serving-layer run showing the server's diff cache
+// under a zipf-skewed repeated-document workload.
 //
 // Every timed repetition re-clones the trees, so the pruned runs pay
 // the full fingerprint build cost inside the measurement: the reported

@@ -1,10 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"ladiff/internal/obs"
 )
 
 const cacheOld = "First sentence here. Second sentence here.\n\nAnother paragraph entirely."
@@ -175,5 +183,233 @@ func TestDiffPruneServerWide(t *testing.T) {
 	same := diffOnce(t, ts, DiffRequest{Old: cacheOld, New: cacheOld, Format: "text"})
 	if len(same.Script) != 0 {
 		t.Errorf("identical documents produced %d ops under server-wide prune", len(same.Script))
+	}
+}
+
+// cacheOldSpaced is cacheOld with whitespace the text parser normalizes
+// away: a different source key, the same content key.
+const cacheOldSpaced = "First sentence here.   Second sentence here.\n\nAnother paragraph entirely.\n"
+
+// TestDiffCacheSourceHitSkipsParse: a byte-identical repeat is answered
+// by the source key before anything is parsed; a whitespace variant
+// parses once, hits the content key and takes over the entry's source
+// key, so its own repeat skips the parse too. Node volumes and the
+// hit/miss counters account every request exactly as a parse would.
+// Batch items and jobs share the path.
+func TestDiffCacheSourceHitSkipsParse(t *testing.T) {
+	s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
+	a := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"}
+	aSpaced := a
+	aSpaced.Old = cacheOldSpaced
+
+	parses := func() int64 { return s.Metrics().Snapshot().PhaseUS["parse"].Count }
+	var oldStep, newStep int64
+	for i, step := range []struct {
+		name   string
+		req    DiffRequest
+		parses int64
+		cached bool
+	}{
+		{"A", a, 1, false},
+		{"A again", a, 1, true},
+		{"A spaced", aSpaced, 2, true},
+		{"A spaced again", aSpaced, 2, true},
+	} {
+		before := s.Metrics().Snapshot()
+		resp := diffOnce(t, ts, step.req)
+		after := s.Metrics().Snapshot()
+		if resp.Cached != step.cached {
+			t.Errorf("%s: cached = %v, want %v", step.name, resp.Cached, step.cached)
+		}
+		if got := after.PhaseUS["parse"].Count; got != step.parses {
+			t.Errorf("%s: phase_us.parse.count = %d, want %d", step.name, got, step.parses)
+		}
+		dOld := after.OldNodesTotal - before.OldNodesTotal
+		dNew := after.NewNodesTotal - before.NewNodesTotal
+		if i == 0 {
+			oldStep, newStep = dOld, dNew
+		}
+		if dOld != oldStep || dNew != newStep || dOld != int64(resp.Stats.OldNodes) {
+			t.Errorf("%s: node totals rose %d/%d, want %d/%d every request",
+				step.name, dOld, dNew, oldStep, newStep)
+		}
+	}
+	if m := s.Metrics().Snapshot(); m.Cache.Hits != 3 || m.Cache.Misses != 1 {
+		t.Errorf("cache traffic = %d hits / %d misses, want 3/1", m.Cache.Hits, m.Cache.Misses)
+	}
+
+	// The spaced variant now owns the entry's source key; A itself
+	// re-points it with one more parse, after which batch items and
+	// jobs for A are source hits.
+	diffOnce(t, ts, a)
+	before := parses()
+	status, body, _ := postJSON(t, ts, "/v1/diff/batch",
+		BatchDiffRequest{Items: []BatchDiffItem{{ID: "a", DiffRequest: a}}})
+	var out BatchDiffResponse
+	if status != http.StatusOK || json.Unmarshal(body, &out) != nil || len(out.Items) != 1 {
+		t.Fatalf("batch status %d: %s", status, body)
+	}
+	if r := out.Items[0].Response; r == nil || !r.Cached {
+		t.Errorf("batch item for a cached pair was not served from cache: %s", body)
+	}
+	st := submitJob(t, ts, JobSubmitRequest{DiffRequest: a})
+	var job JobStatus
+	waitFor(t, "job completion", func() bool {
+		_, job = jobHTTP(t, ts, http.MethodGet, st.ID)
+		return job.Status == "done"
+	})
+	if job.Response == nil || !job.Response.Cached {
+		t.Errorf("job for a cached pair was not served from cache: %+v", job)
+	}
+	if got := parses(); got != before {
+		t.Errorf("batch item and job parsed: phase_us.parse.count %d -> %d", before, got)
+	}
+}
+
+// TestDiffCacheSourceHitTrace: each lookup level records a cache span
+// naming its key and result. A source hit has no parse span; a
+// whitespace variant shows the source miss, the parse, then the
+// content hit.
+func TestDiffCacheSourceHitTrace(t *testing.T) {
+	ring := obs.NewRing(8)
+	_, ts, done := obsServer(t, Config{DiffCacheEntries: 8}, ring)
+	defer done()
+
+	a := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"}
+	aSpaced := a
+	aSpaced.Old = cacheOldSpaced
+	for i, req := range []DiffRequest{a, a, aSpaced} {
+		data, _ := json.Marshal(req)
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/diff", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("X-Request-Id", fmt.Sprintf("req-%d", i))
+		resp, err := ts.Client().Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	waitFor(t, "traces retained", func() bool { return ring.Stats().Kept == 3 })
+
+	// spans renders a trace's top-level spans, cache spans with their
+	// key and result.
+	spans := map[string][]string{}
+	for _, tr := range ring.Traces() {
+		for _, sp := range tr.Snapshot().Root.Spans {
+			line := sp.Name
+			if sp.Name == "cache" {
+				attrs := map[string]any{}
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				line = fmt.Sprintf("cache %v/%v", attrs["key"], attrs["result"])
+			}
+			spans[tr.ID] = append(spans[tr.ID], line)
+		}
+	}
+	for id, want := range map[string][]string{
+		"req-0": {"cache source/miss", "parse", "cache content/miss"},
+		"req-1": {"cache source/hit"},
+		"req-2": {"cache source/miss", "parse", "cache content/hit"},
+	} {
+		got := spans[id]
+		if id == "req-0" && len(got) > len(want) {
+			got = got[:len(want)] // the miss goes on to match and generate
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s spans = %q, want %q", id, got, want)
+		}
+	}
+}
+
+// TestDiffCacheConcurrent storms a capacity-2 cache with six pairs and
+// their whitespace variants, so entries are evicted and source keys
+// re-pointed constantly. Run under -race. Every response must carry the
+// script a cacheless server returns for the same request, every diff
+// counts one hit or one miss, and afterwards the two indexes agree.
+func TestDiffCacheConcurrent(t *testing.T) {
+	var reqs []DiffRequest
+	for i := 0; i < 6; i++ {
+		old := fmt.Sprintf("Pair %d opens here. It has a second sentence.\n\nA closing paragraph for pair %d.", i, i)
+		req := DiffRequest{Old: old, New: strings.Replace(old, "second", "changed", 1), Format: "text"}
+		spaced := req
+		spaced.Old = strings.ReplaceAll(old, ". ", ".   ") + "\n"
+		reqs = append(reqs, req, spaced)
+	}
+	_, plain := newTestServer(t, Config{})
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		script, _ := json.Marshal(diffOnce(t, plain, req).Script)
+		want[i] = string(script)
+	}
+
+	const capacity, workers, perWorker = 2, 8, 40
+	s, ts := newTestServer(t, Config{DiffCacheEntries: capacity})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				k := rng.Intn(len(reqs))
+				status, raw, _ := postJSON(t, ts, "/v1/diff", reqs[k])
+				var resp DiffResponse
+				if status != http.StatusOK || json.Unmarshal(raw, &resp) != nil {
+					t.Errorf("request %d: status %d: %s", k, status, raw)
+					return
+				}
+				if script, _ := json.Marshal(resp.Script); string(script) != want[k] {
+					t.Errorf("request %d (cached=%v): script %s, want %s", k, resp.Cached, script, want[k])
+				}
+				if size := s.met.CacheSize.Load(); size > capacity {
+					t.Errorf("cache size %d exceeds capacity %d", size, capacity)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	m := s.Metrics().Snapshot()
+	if m.DiffsTotal != workers*perWorker || m.Cache.Hits+m.Cache.Misses != m.DiffsTotal {
+		t.Errorf("hits %d + misses %d != diffs_total %d (want %d)",
+			m.Cache.Hits, m.Cache.Misses, m.DiffsTotal, workers*perWorker)
+	}
+	if m.Cache.Hits == 0 || m.Cache.Evictions == 0 {
+		t.Errorf("storm produced %d hits and %d evictions, want both", m.Cache.Hits, m.Cache.Evictions)
+	}
+
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := c.lru.Len(); len(c.bySource) > n || n > capacity || len(c.byKey) != n {
+		t.Errorf("indexes hold %d source / %d content keys over %d entries (capacity %d)",
+			len(c.bySource), len(c.byKey), n, capacity)
+	}
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if c.byKey[e.key] != el || c.bySource[e.src] != el {
+			t.Errorf("entry %+v is not indexed under both its keys", e.key)
+		}
+	}
+}
+
+// TestSourceDigest: the length prefixes keep the split between the two
+// documents in the digest, and hashing copies neither document.
+func TestSourceDigest(t *testing.T) {
+	if sourceDigest("ab", "c") == sourceDigest("a", "bc") {
+		t.Error("moving a byte across the old/new split kept the digest")
+	}
+	if sourceDigest(cacheOld, cacheNew) != sourceDigest(cacheOld, cacheNew) {
+		t.Error("digest is not deterministic")
+	}
+	big := strings.Repeat(cacheOld, 100)
+	if n := testing.AllocsPerRun(100, func() { sourceDigest(big, big) }); n != 0 {
+		t.Errorf("sourceDigest allocates %.0f times per call, want 0", n)
 	}
 }

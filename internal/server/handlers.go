@@ -74,9 +74,10 @@ type DiffResponse struct {
 	// the new document. DegradedReasons says what was given up.
 	Degraded        bool     `json:"degraded,omitempty"`
 	DegradedReasons []string `json:"degradedReasons,omitempty"`
-	// Cached reports that the response was served from the
-	// fingerprint-keyed diff cache without re-running the pipeline;
-	// Stats then describe the original computation, not this request.
+	// Cached reports that the response was served from the diff cache
+	// without running match, generate or render — and, for a
+	// byte-identical repeat, without parsing; Stats then describe the
+	// original computation, not this request.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -390,13 +391,38 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 // executeDiff runs the validated plan through the full pipeline —
-// parse, cache lookup, match, generate, render — and returns either the
-// response or the shared failure envelope. The caller must already hold
-// a worker slot; metric accounting (phase latencies, node volumes,
+// source-key cache lookup, parse, content-key cache lookup, match,
+// generate, render — and returns either the response or the shared
+// failure envelope. A byte-identical repeat is answered before the
+// parse, a content-equal one after it. The caller must already hold a
+// worker slot; metric accounting (phase latencies, node volumes,
 // diffs/degraded counters) happens here, identically for every consumer.
 func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse, *ItemError) {
 	req, output, matcher := plan.req, plan.output, plan.matcher
 	start := time.Now()
+	prune := req.Prune || s.cfg.PruneIdentical
+	opts := cacheOpts{
+		format:            req.Format,
+		output:            output,
+		matcher:           matcher,
+		leafThreshold:     req.LeafThreshold,
+		internalThreshold: req.InternalThreshold,
+		prune:             prune,
+	}
+
+	// Cache lookup, source level: the SHA-256 of both sources plus the
+	// options. A hit skips everything, the parse included.
+	var src sourceKey
+	if s.cache != nil {
+		src = sourceKey{digest: sourceDigest(req.Old, req.New), opts: opts}
+		_, csp := obs.StartSpan(ctx, "cache")
+		hit, ok := s.cache.getSource(src)
+		endCacheSpan(csp, "source", ok)
+		if ok {
+			return s.cacheHit(hit, start), nil
+		}
+	}
+
 	phaseMicros := make(map[string]int64, numPhases)
 	observe := func(p Phase, d time.Duration) {
 		s.met.PhaseLatency[p].Observe(d)
@@ -425,41 +451,27 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	psp.Int("new_nodes", int64(newT.Len()))
 	psp.End()
 	observe(PhaseParse, time.Since(t0))
-	s.met.OldNodes.Add(int64(oldT.Len()))
-	s.met.NewNodes.Add(int64(newT.Len()))
 
-	// Cache lookup: the key is the content (Merkle root fingerprints of
-	// both parsed trees) plus every option that shapes the response. A
-	// hit skips match, generation, and render entirely — the O(1) serving
-	// path of the fingerprint ladder.
-	prune := req.Prune || s.cfg.PruneIdentical
+	// Cache lookup, content level: the Merkle root fingerprints of both
+	// parsed trees plus the options, so a repeat that differs only in
+	// whitespace the parser normalizes still hits. A hit skips match,
+	// generation, and render.
 	var ckey cacheKey
 	if s.cache != nil {
 		ckey = cacheKey{
 			oldFP: ladiff.RootFingerprint(oldT),
 			newFP: ladiff.RootFingerprint(newT),
-			opts: cacheOpts{
-				format:            req.Format,
-				output:            output,
-				matcher:           matcher,
-				leafThreshold:     req.LeafThreshold,
-				internalThreshold: req.InternalThreshold,
-				prune:             prune,
-			},
+			opts:  opts,
 		}
 		_, csp := obs.StartSpan(ctx, "cache")
-		hit, ok := s.cache.get(ckey)
+		hit, ok := s.cache.get(ckey, src)
+		endCacheSpan(csp, "content", ok)
 		if ok {
-			csp.Str("result", "hit")
-			csp.End()
-			hit.Cached = true
-			s.met.Diffs.Add(1)
-			s.met.RequestLatency.Observe(time.Since(start))
-			return &hit, nil
+			return s.cacheHit(hit, start), nil
 		}
-		csp.Str("result", "miss")
-		csp.End()
 	}
+	s.met.OldNodes.Add(int64(oldT.Len()))
+	s.met.NewNodes.Add(int64(newT.Len()))
 
 	var (
 		m               *ladiff.Matching
@@ -561,11 +573,34 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	// reflects this moment's budget pressure, not the documents, and
 	// must not be replayed to later requests.
 	if s.cache != nil && !resp.Degraded {
-		s.cache.put(ckey, resp)
+		s.cache.put(ckey, src, resp)
 	}
 	s.met.Diffs.Add(1)
 	s.met.RequestLatency.Observe(time.Since(start))
 	return &resp, nil
+}
+
+// cacheHit finishes a request answered from the diff cache at either
+// level. The node volumes come from the cached Stats — the same counts
+// a parse of this request would have added.
+func (s *Server) cacheHit(resp DiffResponse, start time.Time) *DiffResponse {
+	resp.Cached = true
+	s.met.OldNodes.Add(int64(resp.Stats.OldNodes))
+	s.met.NewNodes.Add(int64(resp.Stats.NewNodes))
+	s.met.Diffs.Add(1)
+	s.met.RequestLatency.Observe(time.Since(start))
+	return &resp
+}
+
+// endCacheSpan records which key a cache lookup tried and its outcome.
+func endCacheSpan(sp *obs.Span, key string, hit bool) {
+	result := "miss"
+	if hit {
+		result = "hit"
+	}
+	sp.Str("key", key)
+	sp.Str("result", result)
+	sp.End()
 }
 
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {

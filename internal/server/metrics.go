@@ -41,9 +41,11 @@ var phaseNames = [numPhases]string{"parse", "match", "generate", "render"}
 //	panics_total              panics contained by the recovery middleware (each also a 500)
 //	degraded_total            successful responses served in a degraded mode (budget
 //	                          fallback to FastMatch, or scan-generator fallback)
-//	old_nodes_total/new_nodes_total  cumulative parsed node counts (workload volume)
-//	cache.{hits,misses,evictions}    fingerprint-keyed diff-cache traffic (all zero
-//	                                 when DiffCacheEntries is 0)
+//	old_nodes_total/new_nodes_total  cumulative document node counts (workload volume):
+//	                                 parsed, or taken from the cached Stats on a hit
+//	cache.{hits,misses,evictions}    diff-cache traffic: a diff counts one hit (at the
+//	                                 source or the content key) or one miss (at the
+//	                                 content key); all zero when DiffCacheEntries is 0
 //	cache.{size,capacity}            current entry count and configured bound
 //	phase_us.<phase>          latency histogram of each *completed* phase —
 //	                          a request that dies mid-phase never records it,
@@ -120,8 +122,8 @@ type MetricsSnapshot struct {
 	DegradedTotal         int64 `json:"degraded_total"`
 	OldNodesTotal         int64 `json:"old_nodes_total"`
 	NewNodesTotal         int64 `json:"new_nodes_total"`
-	// Cache reports the fingerprint-keyed diff cache: hit/miss/eviction
-	// traffic plus current size and configured capacity (all zero when
+	// Cache reports the diff cache: hit/miss/eviction traffic plus
+	// current size and configured capacity (all zero when
 	// DiffCacheEntries is 0).
 	Cache CacheSnapshot `json:"cache"`
 	// Batch reports POST /v1/diff/batch traffic: envelopes and the

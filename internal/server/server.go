@@ -69,10 +69,12 @@ type Config struct {
 	// fingerprints and is byte-identical to the pre-ladder server.
 	// Individual requests can opt in with "prune": true regardless.
 	PruneIdentical bool
-	// DiffCacheEntries bounds the fingerprint-keyed LRU cache of diff
-	// responses: a repeat of a (content, options) pair the cache still
-	// holds is served without re-running the pipeline. 0 (the default)
-	// disables caching entirely.
+	// DiffCacheEntries bounds the LRU cache of diff responses, in
+	// entries: a repeat of a (content, options) pair the cache still
+	// holds is served without re-running the pipeline, and a
+	// byte-identical repeat without parsing either. Each entry is
+	// indexed by a source key and a content key but counts once. 0 (the
+	// default) disables caching entirely.
 	DiffCacheEntries int
 	// Store enables the versioned-document endpoints (/v1/docs/...):
 	// ingest, version listing, checkout, version diff, and SSE change
@@ -193,7 +195,8 @@ type Server struct {
 	core *sched.Core
 	met  *Metrics
 	log  *slog.Logger
-	// cache is the fingerprint-keyed diff LRU; nil when
+	// cache is the diff LRU, looked up by source bytes before the parse
+	// and by content fingerprints after it; nil when
 	// Config.DiffCacheEntries is 0.
 	cache *diffCache
 	// jobs is the async-job store behind /v1/jobs; nil only before New

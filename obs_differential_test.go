@@ -17,7 +17,7 @@ import (
 // with the perturbation mixes. The trace-invariance battery runs every
 // class, because the obs layer hooks every phase the classes stress
 // differently (wide sibling lists hit the generator spans hardest,
-// near-duplicates the matcher memo counters, move-heavy the alignment
+// near-duplicates the matcher's leaf compares, move-heavy the alignment
 // phase).
 var obsWorkloads = []struct {
 	name string
