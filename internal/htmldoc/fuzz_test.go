@@ -26,6 +26,7 @@ func FuzzParse(f *testing.F) {
 		"<div><p>nested.</p></div>",
 		"<p attr=\"x\">attributed.</p>",
 		"<br/><p>after break.</p>",
+		"<script>ȺȺȺȺ</script><p>Hello there.</p>",
 	}
 	for _, s := range seeds {
 		f.Add(s)

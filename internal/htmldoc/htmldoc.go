@@ -113,8 +113,7 @@ func (p *parser) run(src string) error {
 		name, closing := tagName(tag)
 		if skipContentTags[name] && !closing {
 			// Skip everything to the matching close tag.
-			closeTag := "</" + name
-			end := strings.Index(strings.ToLower(src[i:]), closeTag)
+			end := indexCloseTag(src[i:], name)
 			if end < 0 {
 				return fmt.Errorf("htmldoc: unterminated <%s> content", name)
 			}
@@ -124,6 +123,26 @@ func (p *parser) run(src string) error {
 		p.handleTag(name, closing)
 	}
 	return nil
+}
+
+// indexCloseTag returns the index of the first "</" in s that is followed
+// by name in any ASCII case, or -1. Only the name is compared, so
+// "</scripts" closes <script>. It scans s itself: a lower-cased copy
+// would cost a pass over the rest of the document per tag, and its
+// offsets shift wherever a rune changes byte length.
+func indexCloseTag(s, name string) int {
+	for i := 0; ; {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j + 2
+		// name is ASCII, so a same-length slice can only fold-match it
+		// through ASCII letters.
+		if len(s)-i >= len(name) && strings.EqualFold(s[i:i+len(name)], name) {
+			return i - 2
+		}
+	}
 }
 
 func tagName(tag string) (name string, closing bool) {
@@ -309,7 +328,14 @@ func Render(t *tree.Tree) string {
 	return b.String()
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// The escapers are built once and shared: a strings.Replacer builds its
+// 256-entry table on first use, is safe for concurrent use, and returns
+// its input without allocating when nothing needs escaping.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	// attrEscaper is for double-quoted attribute values. Apostrophes stay
+	// as they are.
+	attrEscaper = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;", ">", "&gt;")
+)
+
+func escape(s string) string { return textEscaper.Replace(s) }

@@ -3,6 +3,7 @@ package htmldoc_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ladiff/internal/core"
 	"ladiff/internal/delta"
@@ -76,6 +77,42 @@ func TestParseErrors(t *testing.T) {
 		if _, err := htmldoc.Parse(src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
+	}
+}
+
+// TestParseSkipContent covers the close-tag search of <script>, <style>,
+// <head> and <title>: offsets must hold when a rune changes byte length
+// under case mapping (Ⱥ is 2 bytes, ⱥ 3), and the search must stay
+// linear in the document.
+func TestParseSkipContent(t *testing.T) {
+	for _, src := range []string{
+		"<script>ȺȺȺȺ</script><p>Hello there.</p>",
+		"<script>ȺȺȺȺȺȺȺȺȺȺ</script><p>Hello there.</p>",
+	} {
+		doc, err := htmldoc.Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		var got []string
+		for _, leaf := range doc.Leaves() {
+			got = append(got, leaf.Value())
+		}
+		if len(got) != 1 || got[0] != "Hello there." {
+			t.Errorf("Parse(%q) leaves = %q, want [\"Hello there.\"]", src, got)
+		}
+	}
+
+	src := strings.Repeat("<SCRIPT>X</SCRIPT>", 16000) + "<p>Kept.</p>"
+	start := time.Now()
+	doc, err := htmldoc.Parse(src)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("Parse of 16000 script elements took %v, want under 2s", elapsed)
+	}
+	if err != nil {
+		t.Fatalf("Parse of 16000 script elements: %v", err)
+	}
+	if n := len(doc.Chain(gen.LabelSentence)); n != 1 {
+		t.Errorf("sentences = %d, want 1", n)
 	}
 }
 

@@ -204,13 +204,13 @@ func (r *deltaRenderer) sentence(b *strings.Builder, n *delta.Node) {
 	case delta.Deleted:
 		fmt.Fprintf(b, "<del>%s</del>", escape(n.Value))
 	case delta.Updated:
-		fmt.Fprintf(b, "<em class=\"upd\" title=%q>%s</em>", n.OldValue, wordMarkup(n.OldValue, n.Value))
+		fmt.Fprintf(b, "<em class=\"upd\" title=\"%s\">%s</em>", attrEscaper.Replace(n.OldValue), wordMarkup(n.OldValue, n.Value))
 	case delta.MoveSource:
 		fmt.Fprintf(b, "<del class=\"mov\" id=%q>%s</del>", r.labels[n], escape(n.Value))
 	case delta.MoveDest:
 		text := escape(n.Value)
 		if n.OldValue != "" {
-			text = fmt.Sprintf("<em class=\"upd\" title=%q>%s</em>", n.OldValue, text)
+			text = fmt.Sprintf("<em class=\"upd\" title=\"%s\">%s</em>", attrEscaper.Replace(n.OldValue), text)
 		}
 		fmt.Fprintf(b, "<span class=\"mov\">%s<sup><a href=\"#%s\">moved</a></sup></span>", text, r.labels[n])
 	}

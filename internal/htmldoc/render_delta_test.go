@@ -103,3 +103,32 @@ func TestRenderDeltaIsValidHTMLSubset(t *testing.T) {
 		t.Fatalf("content lost in rendering: %q", joined)
 	}
 }
+
+// TestRenderDeltaEscapesTitles checks that an old value holding HTML
+// metacharacters stays inside its title attribute, for an updated
+// sentence and for a moved-and-updated one.
+func TestRenderDeltaEscapesTitles(t *testing.T) {
+	out := renderDiff(t, `<h1>News</h1>
+<p>Quarterly results exceeded all expectations today. Analysts said &quot;wow&quot; &lt;loudly&gt; &amp; were surprised by the margin growth. The board will meet again next quarter.</p>
+<p>He said &quot;stop&quot; &lt;now&gt; &amp; left today. Unrelated second story paragraph stays put here.</p>`,
+		`<h1>News</h1>
+<p>Quarterly results exceeded all expectations today. The board will meet again next quarter. Analysts said &quot;wow&quot; &lt;loudly&gt; &amp; were astonished by the margin growth.</p>
+<p>He said &quot;stop&quot; &lt;now&gt; &amp; left early today. Unrelated second story paragraph stays put here.</p>`)
+	for _, want := range []string{
+		`<em class="upd" title="He said &quot;stop&quot; &lt;now&gt; &amp; left today.">`,
+		`<span class="mov"><em class="upd" title="Analysts said &quot;wow&quot; &lt;loudly&gt; &amp; were surprised by the margin growth.">`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing escaped title %s in:\n%s", want, out)
+		}
+	}
+	back, err := htmldoc.Parse(out)
+	if err != nil {
+		t.Fatalf("rendered delta does not re-parse: %v\n%s", err, out)
+	}
+	for _, leaf := range back.Leaves() {
+		if strings.Contains(leaf.Value(), `">`) {
+			t.Errorf("attribute text leaked into content: %q", leaf.Value())
+		}
+	}
+}
