@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,6 +35,21 @@ func TestExitCodes(t *testing.T) {
 	}
 	if err := run(oldP, newP, "", "query", 0, 0, false, "", -1, "", false, false, false); cli.ExitCode(err) != cli.ExitUsage {
 		t.Errorf("missing -query: exit %d, want %d (%v)", cli.ExitCode(err), cli.ExitUsage, err)
+	}
+}
+
+// TestExitNaNThreshold: a NaN threshold (the flag parser accepts "NaN")
+// is refused like any other out-of-range one, never run as a matching
+// that pairs nothing.
+func TestExitNaNThreshold(t *testing.T) {
+	oldP, newP := texPaths(t)
+	for _, c := range []struct {
+		name string
+		t, f float64
+	}{{"-f 1.5", 0, 1.5}, {"-f NaN", 0, math.NaN()}, {"-t NaN", math.NaN(), 0}} {
+		if err := run(oldP, newP, "", "summary", c.t, c.f, false, "", -1, "", false, false, false); cli.ExitCode(err) != cli.ExitDiff {
+			t.Errorf("%s: exit %d, want %d (%v)", c.name, cli.ExitCode(err), cli.ExitDiff, err)
+		}
 	}
 }
 

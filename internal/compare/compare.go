@@ -66,30 +66,100 @@ func WordSliceLCS(wa, wb []string) float64 {
 	return unmatched / float64(maxLen)
 }
 
-// WordSliceLCSWithin reports whether WordSliceLCS(wa, wb) ≤ limit,
-// without always computing the full distance. The word-LCS distance is
-// D / max(len(wa), len(wb)) where D = len(wa) + len(wb) − 2·|LCS| is
-// exactly Myers' edit distance, so the LCS search can stop as soon as D
-// provably exceeds limit·max — O((n+m)·limit·max) work instead of the
-// O((n+m)·D) of a full computation, a large saving on the dissimilar
-// pairs that dominate matching. It agrees with WordSliceLCS(wa, wb) ≤
-// limit for every input and every limit in [0, 2].
-func WordSliceLCSWithin(wa, wb []string, limit float64) bool {
-	if len(wa) == 0 && len(wb) == 0 {
-		return limit >= 0
+// Tokens is a value prepared for many bounded word-LCS comparisons: its
+// words (those of Words), a 6-bit hash bin per word, and the mask of the
+// bins that occur. Tokenize builds it; Within compares two.
+type Tokens struct {
+	words []string
+	bins  []uint8
+	mask  uint64
+}
+
+// Tokenize splits s into words and bins each one, in two allocations:
+// the words and their bins.
+func Tokenize(s string) Tokens { return tokensOf(Words(s)) }
+
+func tokensOf(words []string) Tokens {
+	t := Tokens{words: words, bins: make([]uint8, len(words))}
+	for i, w := range words {
+		t.bins[i] = wordBin(w)
+		t.mask |= 1 << t.bins[i]
 	}
-	if len(wa) == 0 || len(wb) == 0 {
-		return MaxDistance <= limit
+	return t
+}
+
+// wordBin hashes a word into one of 64 bins: 32-bit FNV-1a, xor-folded
+// to 6 bits. The hash is fixed (no per-process seed), so which pairs the
+// bag bound rejects is the same in every run.
+func wordBin(w string) uint8 {
+	h := uint32(2166136261)
+	for i := 0; i < len(w); i++ {
+		h ^= uint32(w[i])
+		h *= 16777619
 	}
-	maxLen := len(wa)
-	if len(wb) > maxLen {
-		maxLen = len(wb)
+	return uint8((h>>6 ^ h) & 63)
+}
+
+// Within reports whether WordSliceLCS(a's words, b's words) ≤ limit
+// without always computing the distance. The distance is D / max(n, m)
+// where D = n + m − 2·|LCS| is exactly Myers' edit distance, so the
+// question is whether D ≤ maxD, the largest integer whose quotient by
+// max(n, m) is ≤ limit. Two exact bounds on D answer most pairs first:
+//
+//   - D ≥ |n − m|;
+//   - D ≥ n + m − 2·hits, where hits counts the words of one side whose
+//     bin occurs in the other side's mask, in either direction. Each
+//     word of the LCS occurs in the other side, so |LCS| ≤ hits; a bin
+//     collision only raises hits, letting a dissimilar pair through to
+//     the search but never rejecting a pair within limit.
+//
+// Only the pairs that pass both reach the Myers search, which stops once
+// D provably exceeds maxD. Within agrees with WordSliceLCS ≤ limit for
+// every input and every limit.
+func (a *Tokens) Within(b *Tokens, limit float64) bool {
+	n, m := len(a.words), len(b.words)
+	switch {
+	case limit >= MaxDistance:
+		return true
+	case !(limit >= 0):
+		return false
+	case n == 0 && m == 0:
+		return true
+	case n == 0 || m == 0:
+		return false
 	}
-	// D ≤ limit·maxLen, with a nudge so exact threshold products that
-	// round just below an integer still admit it (D is integral).
-	maxD := int(limit*float64(maxLen) + 1e-9)
-	_, ok := lcs.DistanceWithin(len(wa), len(wb), maxD, func(i, j int) bool { return wa[i] == wb[j] })
+	maxD := maxEdits(limit, max(n, m))
+	if n-m > maxD || m-n > maxD {
+		return false
+	}
+	if n+m-2*hits(a.bins, b.mask) > maxD || n+m-2*hits(b.bins, a.mask) > maxD {
+		return false
+	}
+	_, ok := lcs.DistanceWithin(n, m, maxD, func(i, j int) bool { return a.words[i] == b.words[j] })
 	return ok
+}
+
+// maxEdits returns the largest d with float64(d)/float64(maxLen) ≤ limit,
+// for limit in [0, MaxDistance): the quotient WordSliceLCS computes is
+// monotone in d, so D ≤ maxEdits decides D/maxLen ≤ limit exactly.
+func maxEdits(limit float64, maxLen int) int {
+	d := int(limit * float64(maxLen))
+	for d > 0 && float64(d)/float64(maxLen) > limit {
+		d--
+	}
+	for float64(d+1)/float64(maxLen) <= limit {
+		d++
+	}
+	return d
+}
+
+// hits counts the words whose bin is set in mask.
+func hits(bins []uint8, mask uint64) int {
+	h := 0
+	for _, k := range bins {
+		h += int(mask >> k & 1)
+	}
+	return h
 }
 
 // FoldedWordLCS is WordLCS with case folding and punctuation stripping,
@@ -190,15 +260,4 @@ func TokenSet(a, b string) float64 {
 		return MaxDistance
 	}
 	return MaxDistance * (1 - float64(inter)/float64(union))
-}
-
-// Counting wraps a comparer so every invocation increments *calls. The §8
-// empirical study measures matcher cost as r1·c + r2 where r1 is exactly
-// the number of compare invocations; the benchmark harness uses this
-// wrapper to observe r1 without touching the matcher internals.
-func Counting(f Func, calls *int64) Func {
-	return func(a, b string) float64 {
-		*calls++
-		return f(a, b)
-	}
 }

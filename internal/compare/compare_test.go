@@ -130,16 +130,6 @@ func TestExact(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	var calls int64
-	f := Counting(WordLCS, &calls)
-	f("a b", "a c")
-	f("x", "y")
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
-	}
-}
-
 func TestQuickMetricProperties(t *testing.T) {
 	// Random word-sequences: range, symmetry, and identity for WordLCS.
 	f := func(aw, bw []uint8) bool {

@@ -374,20 +374,36 @@ func spaceAt(s string, i int) (bool, int) {
 }
 
 func isSentenceEnd(word string) bool {
-	// Strip closing punctuation that may follow the terminator.
-	w := strings.TrimRight(word, `)]}'"`)
-	if w == "" {
-		return false
+	// Strip closing punctuation that may follow the terminator. Byte
+	// loops, because strings.TrimRight with a cutset of several bytes
+	// builds a set on every call, and this runs for every word.
+	w := word
+	for w != "" && isCloser(w[len(w)-1]) {
+		w = w[:len(w)-1]
 	}
-	switch w[len(w)-1] {
-	case '.', '!', '?':
-	default:
+	if w == "" || !isTerminator(w[len(w)-1]) {
 		return false
 	}
 	// Abbreviation guard: known shorthand before the period does not
 	// end a sentence ("e.g.", "i.e.", "Dr.").
-	return !isAbbreviation(strings.TrimRight(w, ".!?"))
+	for w != "" && isTerminator(w[len(w)-1]) {
+		w = w[:len(w)-1]
+	}
+	return !isAbbreviation(w)
 }
+
+// isCloser reports whether c is closing punctuation that may follow a
+// sentence terminator.
+func isCloser(c byte) bool {
+	switch c {
+	case ')', ']', '}', '\'', '"':
+		return true
+	}
+	return false
+}
+
+// isTerminator reports whether c ends a sentence.
+func isTerminator(c byte) bool { return c == '.' || c == '!' || c == '?' }
 
 // isAbbreviation reports whether strings.ToLower(s) is a shorthand that
 // does not end a sentence, without building the lowered string.

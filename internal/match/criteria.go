@@ -30,10 +30,11 @@ const (
 type Options struct {
 	// Compare measures leaf-value distance in [0,2]. Nil means the
 	// word-LCS sentence comparer LaDiff uses (§7), which the matcher runs
-	// in its token form: each node's value is split into words once and
-	// the words are reused across every pairwise comparison, with the
-	// LCS search capped at the leaf threshold
-	// (compare.WordSliceLCSWithin).
+	// in its token form: byte-identical values match without being
+	// split, each other value is tokenized once and reused across every
+	// pairwise comparison, and compare.Tokens.Within decides the pair
+	// against the leaf threshold, rejecting most dissimilar pairs before
+	// any LCS search.
 	Compare compare.Func
 	// LeafThreshold is f in Matching Criterion 1: leaves may match only
 	// when Compare(v(x), v(y)) ≤ f. Zero means DefaultLeafThreshold;
@@ -100,10 +101,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.InternalThreshold == 0 {
 		o.InternalThreshold = DefaultInternalThreshold
 	}
-	if o.LeafThreshold < 0 || o.LeafThreshold > 1 {
+	// Written so that NaN, which compares false with everything, fails.
+	if !(0 <= o.LeafThreshold && o.LeafThreshold <= 1) {
 		return o, fmt.Errorf("match: leaf threshold f=%v outside [0,1]", o.LeafThreshold)
 	}
-	if o.InternalThreshold < 0.5 || o.InternalThreshold > 1 {
+	if !(0.5 <= o.InternalThreshold && o.InternalThreshold <= 1) {
 		return o, fmt.Errorf("match: internal threshold t=%v outside [0.5,1]", o.InternalThreshold)
 	}
 	if o.Parallelism < 0 {
@@ -178,9 +180,9 @@ type matcher struct {
 	// here while m serves as the read-only base matching shared by all
 	// of the round's workers. See parallel.go.
 	local *Matching
-	// words1/words2 cache compare.Words(value) per node per tree; the
+	// toks1/toks2 cache compare.Tokenize(value) per node per tree; the
 	// token path runs only when Options.Compare is nil.
-	words1, words2 map[tree.NodeID][]string
+	toks1, toks2 map[tree.NodeID]*compare.Tokens
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
 	// cancellation observed and makes all later equality checks refuse
@@ -277,9 +279,9 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		opts: opts, m: NewMatching(),
 	}
 	if opts.Compare == nil {
-		// The token path splits the value of nearly every leaf once.
-		mr.words1 = make(map[tree.NodeID][]string, mr.idx1.NumLeaves(t1.Root()))
-		mr.words2 = make(map[tree.NodeID][]string, mr.idx2.NumLeaves(t2.Root()))
+		// The token path tokenizes the value of most leaves once.
+		mr.toks1 = make(map[tree.NodeID]*compare.Tokens, mr.idx1.NumLeaves(t1.Root()))
+		mr.toks2 = make(map[tree.NodeID]*compare.Tokens, mr.idx2.NumLeaves(t2.Root()))
 	}
 	if opts.WorkBudget > 0 {
 		mr.budget = &atomic.Int64{}
@@ -329,9 +331,9 @@ func (mr *matcher) add(x, y *tree.Node) {
 
 // leafValueEqual evaluates the value rule compare(v(x), v(y)) ≤ f,
 // charging one leaf compare (r1): through the caller's comparer when one
-// is set, otherwise through the word-LCS comparer's token form, which
-// reuses cached words and stops the LCS search once the distance
-// exceeds f.
+// is set, otherwise through the word-LCS comparer's token form. There,
+// byte-identical values (distance 0) match before either is tokenized,
+// and every other pair goes to Tokens.Within on the cached tokens.
 func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	mr.opts.Stats.LeafCompares++
 	mr.opts.Stats.EffectiveLeafCompares++
@@ -339,21 +341,24 @@ func (mr *matcher) leafValueEqual(x, y *tree.Node) bool {
 	if mr.opts.Compare != nil {
 		return mr.opts.Compare(x.Value(), y.Value()) <= mr.opts.LeafThreshold
 	}
-	return compare.WordSliceLCSWithin(mr.tokens(x, true), mr.tokens(y, false), mr.opts.LeafThreshold)
+	if x.Value() == y.Value() {
+		return true
+	}
+	return mr.tokens(x, true).Within(mr.tokens(y, false), mr.opts.LeafThreshold)
 }
 
-// tokens returns the cached words of n's value.
-func (mr *matcher) tokens(n *tree.Node, inOld bool) []string {
-	cache := mr.words2
+// tokens returns the cached tokens of n's value.
+func (mr *matcher) tokens(n *tree.Node, inOld bool) *compare.Tokens {
+	cache := mr.toks2
 	if inOld {
-		cache = mr.words1
+		cache = mr.toks1
 	}
-	if w, ok := cache[n.ID()]; ok {
-		return w
+	if t, ok := cache[n.ID()]; ok {
+		return t
 	}
-	w := compare.Words(n.Value())
-	cache[n.ID()] = w
-	return w
+	t := compare.Tokenize(n.Value())
+	cache[n.ID()] = &t
+	return &t
 }
 
 // equalLeaves is the leaf equality of §5.2: same label and

@@ -2,8 +2,10 @@ package match_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/gen"
 	. "ladiff/internal/match"
 	"ladiff/internal/tree"
@@ -97,6 +99,53 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := FastMatch(doc, tree.New(), Options{}); err == nil {
 		t.Fatal("expected error for empty tree")
+	}
+}
+
+// TestOptionsRejectNaN: NaN compares false with every bound, so a range
+// check written as "x < lo || x > hi" would let it through, and a NaN f
+// then matches no leaf at all.
+func TestOptionsRejectNaN(t *testing.T) {
+	doc := gen.Document(gen.DocParams{Seed: 1})
+	for name, algo := range map[string]func(*tree.Tree, *tree.Tree, Options) (*Matching, error){
+		"Match":     Match,
+		"FastMatch": FastMatch,
+	} {
+		if _, err := algo(doc, doc.Clone(), Options{LeafThreshold: math.NaN()}); err == nil {
+			t.Errorf("%s: expected error for f = NaN", name)
+		}
+		if _, err := algo(doc, doc.Clone(), Options{InternalThreshold: math.NaN()}); err == nil {
+			t.Errorf("%s: expected error for t = NaN", name)
+		}
+	}
+}
+
+// TestCustomCompareCalledPerLeafCompare: a caller's comparer runs once
+// for every logical leaf compare (r1), byte-identical values included;
+// the identical-value shortcut belongs to the default token path only.
+func TestCustomCompareCalledPerLeafCompare(t *testing.T) {
+	doc := gen.Document(gen.DocParams{Seed: 21, Sections: 4})
+	pert, err := gen.Perturb(doc, gen.Mix(77, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, t2 := range map[string]*tree.Tree{"clone": doc.Clone(), "perturbed": pert.New} {
+		var calls, identical int64
+		stats := &Stats{}
+		cmp := func(a, b string) float64 {
+			calls++
+			if a == b {
+				identical++
+			}
+			return compare.WordLCS(a, b)
+		}
+		if _, err := FastMatch(doc, t2, Options{Compare: cmp, Stats: stats, Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if calls != stats.LeafCompares || identical == 0 {
+			t.Errorf("%s: comparer called %d times (%d identical pairs), r1 = %d",
+				name, calls, identical, stats.LeafCompares)
+		}
 	}
 }
 

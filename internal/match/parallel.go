@@ -3,6 +3,7 @@ package match
 import (
 	"sync"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/lderr"
 	"ladiff/internal/obs"
 	"ladiff/internal/tree"
@@ -109,8 +110,8 @@ func (mr *matcher) fork() *matcher {
 		opts:   opts,
 		m:      mr.m,
 		local:  NewMatching(),
-		words1: make(map[tree.NodeID][]string),
-		words2: make(map[tree.NodeID][]string),
+		toks1:  make(map[tree.NodeID]*compare.Tokens),
+		toks2:  make(map[tree.NodeID]*compare.Tokens),
 		budget: mr.budget,
 	}
 }

@@ -247,9 +247,11 @@ func (s *JobStore) runJob(ctx context.Context, cancel context.CancelFunc, j *job
 		return
 	}
 	if !s.markRunning(j) {
-		// Canceled in the window between Acquire returning and the state
-		// flip; give the slot back without running.
+		// Canceled, or Shutdown began, in the window between Acquire
+		// returning and the state flip; give the slot back without
+		// running. terminalize is a no-op if Cancel got there first.
 		s.core.Release()
+		s.terminalize(j, JobCanceled, nil, context.Canceled)
 		return
 	}
 	result, err := run(ctx)
@@ -268,11 +270,14 @@ func (s *JobStore) runJob(ctx context.Context, cancel context.CancelFunc, j *job
 }
 
 // markRunning flips queued → running; false if the job went terminal
-// (canceled) first.
+// (canceled) first or Shutdown began. Shutdown cancels job contexts one
+// by one, so a queued job can win the slot a canceled running job freed
+// before its own context is canceled; the closed check keeps it from
+// running.
 func (s *JobStore) markRunning(j *job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.state != JobQueued {
+	if s.closed || j.state != JobQueued {
 		return false
 	}
 	j.state = JobRunning
