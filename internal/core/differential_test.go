@@ -276,7 +276,7 @@ func TestFindPosRootAccounting(t *testing.T) {
 	workT := newT.Clone()
 
 	scan := &generator{work: workT, new: newT, mm: match.NewMatching(),
-		inOrder2: map[tree.NodeID]bool{}, result: &Result{}}
+		inOrder2: make([]bool, newT.IDBound()), result: &Result{}}
 	k, err := scan.findPos(newT.Root())
 	if err != nil || k != 1 {
 		t.Fatalf("scan findPos(root) = %d, %v; want 1, nil", k, err)
@@ -289,7 +289,7 @@ func TestFindPosRootAccounting(t *testing.T) {
 	}
 
 	indexed := &generator{work: workT, new: newT, mm: match.NewMatching(),
-		inOrder2: map[tree.NodeID]bool{}, result: &Result{}}
+		inOrder2: make([]bool, newT.IDBound()), result: &Result{}}
 	indexed.gi = newGenIndex(newT, workT, indexed.inOrder2)
 	k, err = indexed.findPos(newT.Root())
 	if err != nil || k != 1 {

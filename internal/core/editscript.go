@@ -268,12 +268,10 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 	}
 
 	g := &generator{
-		work:     t1.Clone(),
-		new:      t2,
-		mm:       m.Clone(),
-		opts:     opts,
-		inOrder1: make(map[tree.NodeID]bool),
-		inOrder2: make(map[tree.NodeID]bool),
+		work: t1.Clone(),
+		new:  t2,
+		mm:   m.Clone(),
+		opts: opts,
 		result: &Result{
 			Matching:    m,
 			Old:         t1,
@@ -301,6 +299,7 @@ func editScriptRun(t1, t2 *tree.Tree, m *match.Matching, opts GenOptions) (_ *Re
 		g.result.WrappedOldRoot = d1.ID()
 		g.result.WrappedNewRoot = d2.ID()
 	}
+	g.inOrder2 = make([]bool, g.new.IDBound())
 
 	// The generation index is built after wrapping so that childPos
 	// covers the dummy roots; the working tree's PosIndex is maintained
@@ -340,11 +339,11 @@ type generator struct {
 	// gi is the edit-script generation index (genindex.go); nil when
 	// opts.DisableIndex selects the reference scan path.
 	gi *genIndex
-	// inOrder1 marks working-tree nodes "in order", inOrder2 marks
-	// new-tree nodes; AlignChildren resets the marks for each sibling
-	// group before aligning it (Figure 9).
-	inOrder1 map[tree.NodeID]bool
-	inOrder2 map[tree.NodeID]bool
+	// inOrder2 marks new-tree nodes "in order", indexed by node ID;
+	// AlignChildren resets the marks for each sibling group before
+	// aligning it (Figure 9). FindPos reads only the new tree's marks, so
+	// the working tree's are not kept.
+	inOrder2 []bool
 	script   edit.Script
 	result   *Result
 	nextID   tree.NodeID
@@ -406,7 +405,7 @@ func (g *generator) bfsPhase() (err error) {
 				return fmt.Errorf("core: matching inserted node: %w", err)
 			}
 			g.result.InsertedNew[x.ID()] = true
-			g.markInOrder(w, x)
+			g.markInOrder(x)
 
 		case x.Parent() == nil:
 			// The matched root: it cannot move, but — when the input
@@ -452,7 +451,7 @@ func (g *generator) bfsPhase() (err error) {
 				}
 				g.result.MovedOld[w.ID()] = true
 			}
-			g.markInOrder(w, x)
+			g.markInOrder(x)
 		}
 		// Step 2d: align the children of w and x.
 		if err := g.alignChildren(w, x); err != nil {
@@ -531,8 +530,9 @@ func (g *generator) nextWorkID() tree.NodeID {
 	return id
 }
 
-func (g *generator) markInOrder(w, x *tree.Node) {
-	g.inOrder1[w.ID()] = true
+// markInOrder marks the new-tree node x "in order"; its partner in the
+// working tree is in order with it.
+func (g *generator) markInOrder(x *tree.Node) {
 	g.inOrder2[x.ID()] = true
 	if g.gi != nil {
 		g.gi.onMark(x)
@@ -549,10 +549,7 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 	if w == nil || x == nil || (len(w.Children()) == 0 && len(x.Children()) == 0) {
 		return nil
 	}
-	// Step 1: mark all children of w and x "out of order".
-	for _, c := range w.Children() {
-		g.inOrder1[c.ID()] = false
-	}
+	// Step 1: mark all children of x "out of order".
 	for _, c := range x.Children() {
 		g.inOrder2[c.ID()] = false
 	}
@@ -582,19 +579,20 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 		g.result.Work.EffectiveAlignEquals++
 		return g.mm.Has(a.ID(), b.ID())
 	})
-	inLCS := make(map[tree.NodeID]bool, len(pairs))
 	for _, p := range pairs {
-		g.markInOrder(p.a, p.b)
-		inLCS[p.a.ID()] = true
+		g.markInOrder(p.b)
 	}
 	// Step 6: move every matched pair not in the LCS into place,
 	// left-to-right over x's children so FindPos anchors are in place.
+	// The pairs' b sides are a subsequence of s2, in order, so one walk
+	// in step with them tells which children the LCS holds.
 	for _, b := range s2 {
-		aID, _ := g.mm.ToOld(b.ID())
-		a := g.work.Node(aID)
-		if inLCS[a.ID()] {
+		if len(pairs) > 0 && pairs[0].b == b {
+			pairs = pairs[1:]
 			continue
 		}
+		aID, _ := g.mm.ToOld(b.ID())
+		a := g.work.Node(aID)
 		k, err := g.findPos(b)
 		if err != nil {
 			return err
@@ -603,7 +601,7 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 			return err
 		}
 		g.result.MovedOld[a.ID()] = true
-		g.markInOrder(a, b)
+		g.markInOrder(b)
 	}
 	return nil
 }

@@ -25,19 +25,20 @@ import (
 // findPosIndexed). steps accumulates the elementary Fenwick operations
 // executed; together with pos.Steps() it becomes EffectivePosScans.
 type genIndex struct {
-	// childPos maps every non-root node of the new tree to its 1-based
-	// child index. Built once after root wrapping; the new tree is
-	// read-only for the rest of the run.
-	childPos map[tree.NodeID]int32
-	// bits holds the per-parent in-order Fenwick trees, keyed by the
+	// childPos holds every non-root node of the new tree's 1-based child
+	// index, indexed by node ID. Built once after root wrapping; the new
+	// tree is read-only for the rest of the run, so its IDBound sizes
+	// this table and the next two.
+	childPos []int32
+	// bits holds the per-parent in-order Fenwick trees, indexed by the
 	// parent's new-tree node ID. An entry appears on the first FindPos
 	// under that parent (always after AlignChildren has reset the
 	// parent's marks) and is dropped if the marks are ever reset again.
-	bits map[tree.NodeID]*inOrderBits
-	// inOrder aliases the generator's inOrder2 map: the source of truth
+	bits []*inOrderBits
+	// inOrder aliases the generator's inOrder2 table: the source of truth
 	// for the marks, from which a Fenwick tree is initialized when it is
 	// first built.
-	inOrder map[tree.NodeID]bool
+	inOrder []bool
 	// pos is the working tree's maintained order-statistic index.
 	pos *tree.PosIndex
 	// steps counts elementary Fenwick operations (loop iterations in
@@ -45,10 +46,10 @@ type genIndex struct {
 	steps int64
 }
 
-func newGenIndex(newTree, work *tree.Tree, inOrder2 map[tree.NodeID]bool) *genIndex {
+func newGenIndex(newTree, work *tree.Tree, inOrder2 []bool) *genIndex {
 	gi := &genIndex{
-		childPos: make(map[tree.NodeID]int32, newTree.Len()),
-		bits:     make(map[tree.NodeID]*inOrderBits),
+		childPos: make([]int32, newTree.IDBound()),
+		bits:     make([]*inOrderBits, newTree.IDBound()),
 		inOrder:  inOrder2,
 		pos:      work.Positions(),
 	}
@@ -103,7 +104,7 @@ func (gi *genIndex) onMark(x *tree.Node) {
 // whole sibling group "out of order". The tree is rebuilt lazily from
 // the marks if FindPos ever queries the group again.
 func (gi *genIndex) onReset(parentID tree.NodeID) {
-	delete(gi.bits, parentID)
+	gi.bits[parentID] = nil
 }
 
 // inOrderBits is a Fenwick (binary indexed) tree over the in-order

@@ -141,7 +141,8 @@ func Build(res *core.Result) (*Tree, error) {
 	}
 	oldT, newT := res.Old, res.New
 	m := res.Matching
-	b := &builder{res: res, m: m, oldT: oldT, newT: newT}
+	b := &builder{res: res, m: m, oldT: oldT, newT: newT,
+		newIndex: make([]int, newT.IDBound())}
 
 	var root *Node
 	if m.Has(oldT.Root().ID(), newT.Root().ID()) {
@@ -163,25 +164,28 @@ type builder struct {
 	oldT     *tree.Tree
 	newT     *tree.Tree
 	moveRefs int
-	// sources maps an old node ID to its MoveSource tombstone, so the
-	// MoveDest (built from the new side) can link up regardless of which
-	// side is visited first.
-	sources map[tree.NodeID]*Node
-	dests   map[tree.NodeID]*Node
+	// sources holds each moved old node's MoveSource tombstone, indexed
+	// by old node ID, so the MoveDest (built from the new side) can link
+	// up regardless of which side is visited first. Allocated on the
+	// first move.
+	sources []*Node
+	// newIndex holds each new node's 0-based index among its parent's
+	// children, indexed by new node ID; mergeChildren fills it for the
+	// children of the parent it merges.
+	newIndex []int
 }
 
 func (b *builder) ref(oldID tree.NodeID) (src, dst *Node) {
 	if b.sources == nil {
-		b.sources = make(map[tree.NodeID]*Node)
-		b.dests = make(map[tree.NodeID]*Node)
+		b.sources = make([]*Node, b.oldT.IDBound())
 	}
 	if b.sources[oldID] == nil {
 		b.moveRefs++
-		b.sources[oldID] = &Node{Kind: MoveSource, MoveRef: b.moveRefs}
-		b.dests[oldID] = &Node{Kind: MoveDest, MoveRef: b.moveRefs}
-		b.sources[oldID].dest = b.dests[oldID]
+		b.sources[oldID] = &Node{Kind: MoveSource, MoveRef: b.moveRefs,
+			dest: &Node{Kind: MoveDest, MoveRef: b.moveRefs}}
 	}
-	return b.sources[oldID], b.dests[oldID]
+	src = b.sources[oldID]
+	return src, src.dest
 }
 
 // buildNew builds the delta node for new node y (and its subtree).
@@ -230,13 +234,10 @@ func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 	}
 	// after[i] collects tombstones to place after newKids[i]; prefix
 	// collects those with no stable left anchor.
-	after := make(map[int][]*Node)
+	after := make([][]*Node, len(newKids))
 	var prefix []*Node
-	// stableIndex: for old children matched to a child of y and not
-	// moved, the index of that child in y's children.
-	newIndex := make(map[tree.NodeID]int)
 	for i, c := range y.Children() {
-		newIndex[c.ID()] = i
+		b.newIndex[c.ID()] = i
 	}
 	anchor := -1
 	for _, c := range x.Children() {
@@ -245,7 +246,7 @@ func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 			partner := b.newT.Node(partnerID)
 			if partner.Parent() == y && !b.res.MovedOld[c.ID()] {
 				// Stable: its content node is newKids[idx]; advance anchor.
-				anchor = newIndex[partnerID]
+				anchor = b.newIndex[partnerID]
 				continue
 			}
 			// Moved away (inter-parent) or reordered (intra-parent):
@@ -267,7 +268,7 @@ func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 	return out
 }
 
-func (b *builder) place(n *Node, anchor int, after map[int][]*Node, prefix *[]*Node) {
+func (b *builder) place(n *Node, anchor int, after [][]*Node, prefix *[]*Node) {
 	if anchor < 0 {
 		*prefix = append(*prefix, n)
 		return

@@ -2,6 +2,7 @@ package edit
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func TestOpStringNotation(t *testing.T) {
 
 func TestApplyInsert(t *testing.T) {
 	tr := sample()
-	op := Ins(100, "s", "delta", 2, 2) // node 2 is the first para
+	op := Ins(7, "s", "delta", 2, 2) // node 2 is the first para
 	if err := op.Apply(tr); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -46,7 +47,7 @@ func TestApplyInsert(t *testing.T) {
 	if para.NumChildren() != 3 || para.Child(2).Value() != "delta" {
 		t.Fatalf("insert landed wrong: %v", para.Children())
 	}
-	if tr.Node(100) == nil {
+	if tr.Node(7) == nil {
 		t.Fatal("inserted node not indexed under requested ID")
 	}
 }
@@ -54,17 +55,17 @@ func TestApplyInsert(t *testing.T) {
 func TestApplyErrors(t *testing.T) {
 	tr := sample()
 	bad := []Op{
-		Ins(100, "s", "v", 999, 1), // unknown parent
-		Ins(100, "s", "v", 2, 9),   // position out of range
-		Ins(1, "s", "v", 2, 1),     // duplicate ID
-		Del(999),                   // unknown node
-		Del(2),                     // non-leaf
-		Upd(999, "", "x"),          // unknown node
-		Mov(999, 1, 1),             // unknown node
-		Mov(2, 999, 1),             // unknown parent
-		Mov(1, 2, 1),               // move root
-		Mov(2, 3, 1),               // move under own subtree
-		{Kind: Kind(99), Node: 1},  // invalid kind
+		Ins(7, "s", "v", 999, 1),  // unknown parent
+		Ins(7, "s", "v", 2, 9),    // position out of range
+		Ins(1, "s", "v", 2, 1),    // duplicate ID
+		Del(999),                  // unknown node
+		Del(2),                    // non-leaf
+		Upd(999, "", "x"),         // unknown node
+		Mov(999, 1, 1),            // unknown node
+		Mov(2, 999, 1),            // unknown parent
+		Mov(1, 2, 1),              // move root
+		Mov(2, 3, 1),              // move under own subtree
+		{Kind: Kind(99), Node: 1}, // invalid kind
 	}
 	for _, op := range bad {
 		if err := op.Apply(tr); err == nil {
@@ -76,11 +77,50 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
+// TestInsertIDBound pins the cap on caller-chosen insert IDs: a lone op
+// may use IDs up to the tree's IDBound, a script IDs below the bound at
+// its start plus its length, and an ID past the cap is rejected with
+// the tree untouched.
+func TestInsertIDBound(t *testing.T) {
+	base := sample() // IDBound 7
+	cases := []struct {
+		name string
+		s    Script
+		ok   bool
+	}{
+		{"op at limit", Script{Ins(7, "s", "v", 2, 1)}, true},
+		{"op past limit", Script{Ins(8, "s", "v", 2, 1)}, false},
+		{"script at limit", Script{Ins(8, "s", "v", 2, 1), Upd(3, "alpha", "x")}, true},
+		{"script past limit", Script{Ins(9, "s", "v", 2, 1), Upd(3, "alpha", "x")}, false},
+		{"huge ID", Script{Ins(1<<40, "s", "v", 2, 1)}, false},
+	}
+	for _, c := range cases {
+		work := base.Clone()
+		var err error
+		if len(c.s) == 1 {
+			err = c.s[0].Apply(work)
+		} else {
+			err = c.s.Apply(work)
+		}
+		if c.ok != (err == nil) {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if !c.ok {
+			if !errors.Is(err, errIDBound) {
+				t.Errorf("%s: err = %v, want errIDBound", c.name, err)
+			}
+			if work.String() != base.String() || work.IDBound() != base.IDBound() {
+				t.Errorf("%s: rejected insert changed the tree", c.name)
+			}
+		}
+	}
+}
+
 func TestScriptApplyAndCounts(t *testing.T) {
 	tr := sample()
 	s := Script{
 		Upd(3, "alpha", "ALPHA"),
-		Ins(100, "s", "delta", 5, 2),
+		Ins(7, "s", "delta", 5, 2),
 		Mov(4, 5, 1),
 		Del(3),
 	}
@@ -137,10 +177,10 @@ func TestCostModel(t *testing.T) {
 func TestDistances(t *testing.T) {
 	tr := sample()
 	s := Script{
-		Upd(3, "alpha", "x"),     // weight 0
-		Ins(100, "s", "v", 5, 1), // weight 1
-		Mov(2, 5, 1),             // para with 2 leaves: weight 2
-		Del(6),                   // weight 1
+		Upd(3, "alpha", "x"),   // weight 0
+		Ins(7, "s", "v", 5, 1), // weight 1
+		Mov(2, 5, 1),           // para with 2 leaves: weight 2
+		Del(6),                 // weight 1
 	}
 	d, e, result, err := s.Distances(tr)
 	if err != nil {
@@ -166,7 +206,7 @@ func TestMoveWeightCountsLeavesAtMoveTime(t *testing.T) {
 	// s=4, para=5, s=6), then move para 5: weight must include the new
 	// leaf.
 	s := Script{
-		Ins(100, "s", "v", 5, 1),
+		Ins(7, "s", "v", 5, 1),
 		Mov(5, 2, 1),
 	}
 	_, e, _, err := s.Distances(tr)

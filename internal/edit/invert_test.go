@@ -10,7 +10,7 @@ func TestInvertSimpleOps(t *testing.T) {
 	base := sample() // doc(1) / para(2)[s(3) s(4)] para(5)[s(6)]
 	s := Script{
 		Upd(3, "alpha", "ALPHA"),
-		Ins(100, "s", "delta", 5, 2),
+		Ins(7, "s", "delta", 5, 2),
 		Mov(4, 5, 1),
 		Del(6),
 	}
@@ -44,8 +44,8 @@ func TestInvertSimpleOps(t *testing.T) {
 func TestInvertKindMapping(t *testing.T) {
 	base := sample()
 	s := Script{
-		Ins(100, "s", "v", 2, 1),
-		Del(100),
+		Ins(7, "s", "v", 2, 1),
+		Del(7),
 	}
 	inv, err := Invert(s, base)
 	if err != nil {
@@ -53,11 +53,11 @@ func TestInvertKindMapping(t *testing.T) {
 	}
 	// Reverse order: first undo the delete (re-insert), then the insert
 	// (delete).
-	if inv[0].Kind != Insert || inv[0].Node != 100 || inv[0].Pos != 1 {
-		t.Fatalf("inv[0] = %v, want re-insert of 100 at position 1", inv[0])
+	if inv[0].Kind != Insert || inv[0].Node != 7 || inv[0].Pos != 1 {
+		t.Fatalf("inv[0] = %v, want re-insert of 7 at position 1", inv[0])
 	}
-	if inv[1].Kind != Delete || inv[1].Node != 100 {
-		t.Fatalf("inv[1] = %v, want delete of 100", inv[1])
+	if inv[1].Kind != Delete || inv[1].Node != 7 {
+		t.Fatalf("inv[1] = %v, want delete of 7", inv[1])
 	}
 }
 
@@ -123,9 +123,9 @@ func TestInvertPropertyGeneratedScripts(t *testing.T) {
   para
     s "six six six"`)
 	scripts := []Script{
-		{Mov(3, 6, 1), Del(5), Ins(50, "s", "new", 2, 1)},
+		{Mov(3, 6, 1), Del(5), Ins(11, "s", "new", 2, 1)},
 		{Upd(4, "two two two", "TWO"), Mov(6, 2, 4), Mov(9, 6, 1)},
-		{Ins(51, "para", "", 1, 4), Mov(6, 51, 1), Mov(2, 51, 1)},
+		{Ins(11, "para", "", 1, 4), Mov(6, 11, 1), Mov(2, 11, 1)},
 		{Del(10), Del(9), Upd(7, "four four four", "4")},
 	}
 	for i, s := range scripts {

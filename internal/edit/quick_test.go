@@ -14,15 +14,13 @@ import (
 func randomValidScript(rng *rand.Rand, base *tree.Tree, n int) Script {
 	work := base.Clone()
 	var script Script
-	nextID := tree.NodeID(10000)
 	for i := 0; i < n; i++ {
 		nodes := work.PreOrder()
 		var op Op
 		switch rng.Intn(4) {
 		case 0: // insert under a random node
 			parent := nodes[rng.Intn(len(nodes))]
-			op = Ins(nextID, "x", fmt.Sprintf("v%d", i), parent.ID(), 1+rng.Intn(parent.NumChildren()+1))
-			nextID++
+			op = Ins(work.IDBound(), "x", fmt.Sprintf("v%d", i), parent.ID(), 1+rng.Intn(parent.NumChildren()+1))
 		case 1: // delete a random non-root leaf, if any
 			var leaves []*tree.Node
 			for _, nd := range nodes {

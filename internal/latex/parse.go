@@ -363,11 +363,15 @@ func nextWord(s string, i int) (ws, we int) {
 	return ws, i
 }
 
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts. A table lookup, because spaceAt runs for every byte parsed.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // spaceAt reports whether the rune starting at s[i] is whitespace, and
 // its width in bytes.
 func spaceAt(s string, i int) (bool, int) {
 	if c := s[i]; c < utf8.RuneSelf {
-		return unicode.IsSpace(rune(c)), 1
+		return asciiSpace[c], 1
 	}
 	r, w := utf8.DecodeRuneInString(s[i:])
 	return unicode.IsSpace(r), w

@@ -7,11 +7,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ladiff"
+	"ladiff/internal/edit"
 	"ladiff/internal/gen"
 	"ladiff/internal/testleak"
 )
@@ -236,6 +238,28 @@ func TestPatchRoundTrip(t *testing.T) {
 	}
 	if !ladiff.Isomorphic(revT, baseT) {
 		t.Fatalf("reverted document differs from base:\n%s\nvs\n%s", inverted.Document, pair[0])
+	}
+}
+
+// TestPatchRejectsHugeInsertID: an insert whose caller-chosen ID lies
+// far past the base tree's bound answers 422 patch_error, in both
+// directions, without the tree allocating a node table for that ID.
+func TestPatchRejectsHugeInsertID(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	script := edit.Script{edit.Ins(1<<40, "s", "x", 1, 1)}
+	for _, invert := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		status, body, _ := postJSON(t, ts, "/v1/patch", PatchRequest{
+			Base: "doc\n  s \"a\"", Format: "tree", Script: script, Invert: invert,
+		})
+		runtime.ReadMemStats(&after)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), "patch_error") {
+			t.Fatalf("invert=%v: status %d: %s, want 422 patch_error", invert, status, body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("invert=%v: request allocated %d bytes, want under 1 MiB", invert, grew)
+		}
 	}
 }
 

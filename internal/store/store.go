@@ -96,9 +96,10 @@ type VersionInfo struct {
 	// Ops counts the edit operations from the previous version (all
 	// zero for version 1 and for rebased versions).
 	Ops OpCounts `json:"ops"`
-	// Rebase records that this version could not be expressed as a
-	// delta against its predecessor (unmatched roots) and was stored as
-	// a fresh base snapshot instead.
+	// Rebase records that this version was stored as a fresh base
+	// snapshot instead of a delta against its predecessor: the roots
+	// were unmatched, or the delta's head would have had an ID space
+	// mostly of holes (a compaction).
 	Rebase bool `json:"rebase,omitempty"`
 	// Time is the ingest wall-clock time (UTC, RFC 3339).
 	Time time.Time `json:"time"`
@@ -352,14 +353,22 @@ func (s *Store) Ingest(ctx context.Context, key, format, src string) (IngestResu
 		return s.commitRebase(ctx, d, src, next, res, sp)
 	}
 
+	advanced, err := res.ApplyToOld()
+	if err != nil {
+		return IngestResult{}, lderr.Internal(fmt.Errorf("store: advancing head: %w", err))
+	}
+	if advanced.IDBound() > 2*tree.NodeID(advanced.Len())+64 {
+		// Compaction: a head keeps every ID its history ever allocated,
+		// and every table the next diff builds is sized by the ID bound.
+		// Once most of the ID space is holes, the version is stored as a
+		// fresh base instead, whose parse numbers its nodes 1..Len, so
+		// no ingest's work grows with the document's history.
+		return s.commitRebase(ctx, d, src, next, res, sp)
+	}
 	forward := res.Script
 	inverse, err := edit.Invert(forward, d.head)
 	if err != nil {
 		return IngestResult{}, lderr.Internal(fmt.Errorf("store: inverting delta: %w", err))
-	}
-	advanced, err := res.ApplyToOld()
-	if err != nil {
-		return IngestResult{}, lderr.Internal(fmt.Errorf("store: advancing head: %w", err))
 	}
 
 	n := len(d.versions) + 1

@@ -70,7 +70,7 @@ func BuildFingerprints(t *Tree, combine CombineFunc) *FPIndex {
 	if combine == nil {
 		combine = DefaultCombine
 	}
-	ix := &FPIndex{fps: make(map[NodeID]Fingerprint, len(t.nodes))}
+	ix := &FPIndex{fps: make(map[NodeID]Fingerprint, t.live)}
 	var rec func(n *Node) Fingerprint
 	rec = func(n *Node) Fingerprint {
 		var kids []Fingerprint

@@ -14,7 +14,9 @@ package tree
 // The snapshot itself is immutable after construction and therefore safe
 // for concurrent readers, provided the tree is not mutated concurrently.
 type Index struct {
-	spans  map[NodeID]nodeSpan
+	// spans is indexed by node ID. An ID the index does not cover reads
+	// the zero span, whose out is 0; every covered node has out ≥ 1.
+	spans  []nodeSpan
 	leaves []*Node
 	chains map[Label][]*Node
 }
@@ -42,7 +44,7 @@ func (t *Tree) Index() *Index {
 
 func buildIndex(t *Tree) *Index {
 	idx := &Index{
-		spans:  make(map[NodeID]nodeSpan, len(t.nodes)),
+		spans:  make([]nodeSpan, len(t.nodes)),
 		chains: make(map[Label][]*Node),
 	}
 	var clock int32
@@ -87,13 +89,22 @@ func (ix *Index) IsAncestor(a, n *Node) bool {
 	return ix.IsAncestorID(a.id, n.id)
 }
 
+// span returns the span of the node with the given ID; ok is false for
+// IDs outside the index.
+func (ix *Index) span(id NodeID) (s nodeSpan, ok bool) {
+	if uint64(id) < uint64(len(ix.spans)) {
+		s = ix.spans[id]
+	}
+	return s, s.out != 0
+}
+
 // IsAncestorID is IsAncestor on node IDs.
 func (ix *Index) IsAncestorID(a, n NodeID) bool {
-	sa, ok := ix.spans[a]
+	sa, ok := ix.span(a)
 	if !ok {
 		return false
 	}
-	sn, ok := ix.spans[n]
+	sn, ok := ix.span(n)
 	if !ok {
 		return false
 	}
@@ -103,7 +114,7 @@ func (ix *Index) IsAncestorID(a, n NodeID) bool {
 // NumLeaves returns |n|, the number of leaf descendants of n (a leaf
 // contains itself), in O(1).
 func (ix *Index) NumLeaves(n *Node) int {
-	s := ix.spans[n.id]
+	s, _ := ix.span(n.id)
 	return int(s.leafHi - s.leafLo)
 }
 
@@ -111,7 +122,7 @@ func (ix *Index) NumLeaves(n *Node) int {
 // subslice of the index's flat leaf sequence. Callers must not modify
 // the returned slice.
 func (ix *Index) LeavesUnder(n *Node) []*Node {
-	s, ok := ix.spans[n.id]
+	s, ok := ix.span(n.id)
 	if !ok {
 		return nil
 	}
@@ -126,6 +137,6 @@ func (ix *Index) Chain(label Label) []*Node { return ix.chains[label] }
 // Interval returns the Euler entry/exit numbers of the node with the
 // given ID. The second result is false for IDs outside the index.
 func (ix *Index) Interval(id NodeID) (in, out int32, ok bool) {
-	s, ok := ix.spans[id]
+	s, ok := ix.span(id)
 	return s.in, s.out, ok
 }

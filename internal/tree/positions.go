@@ -24,12 +24,13 @@ import "fmt"
 // safe for concurrent use with mutations, matching the tree itself.
 type PosIndex struct {
 	t *Tree
-	// lists holds the per-parent treaps, keyed by the parent's node ID;
-	// entries appear lazily on the first Rank under that parent.
-	lists map[NodeID]*childTreap
-	// nodes maps a child's node ID to its treap node, for every child
-	// covered by a built list.
-	nodes map[NodeID]*posNode
+	// lists holds the per-parent treaps, indexed by the parent's node
+	// ID; entries appear lazily on the first Rank under that parent.
+	lists []*childTreap
+	// nodes holds each child's treap node, indexed by the child's node
+	// ID, for every child covered by a built list. Both tables keep the
+	// tree's IDBound as their length, growing in onAttach.
+	nodes []*posNode
 	// rng is a deterministic xorshift state for treap priorities.
 	// Determinism keeps benchmark runs reproducible; correctness never
 	// depends on the priorities.
@@ -65,8 +66,8 @@ func (t *Tree) Positions() *PosIndex {
 	if t.pos == nil {
 		t.pos = &PosIndex{
 			t:     t,
-			lists: make(map[NodeID]*childTreap),
-			nodes: make(map[NodeID]*posNode),
+			lists: make([]*childTreap, t.IDBound()),
+			nodes: make([]*posNode, t.IDBound()),
 			rng:   0x9E3779B9,
 		}
 	}
@@ -147,8 +148,13 @@ func (ix *PosIndex) build(parent *Node) {
 }
 
 // onAttach is the mutation hook: child was spliced into parent's list
-// at 1-based position k.
+// at 1-based position k. Every node a tree gains passes through here, as
+// the child or (WrapRoot) the parent, so the tables grow here.
 func (ix *PosIndex) onAttach(parent, child *Node, k int) {
+	if gap := int(ix.t.IDBound()) - len(ix.nodes); gap > 0 {
+		ix.nodes = append(ix.nodes, make([]*posNode, gap)...)
+		ix.lists = append(ix.lists, make([]*childTreap, gap)...)
+	}
 	cl := ix.lists[parent.id]
 	if cl == nil {
 		return // list not built; it will be built lazily if ever ranked
@@ -241,7 +247,7 @@ func (ix *PosIndex) remove(cl *childTreap, tn *posNode) {
 		}
 	}
 	tn.up = nil
-	delete(ix.nodes, tn.id)
+	ix.nodes[tn.id] = nil
 }
 
 // rotateUp lifts x over its parent, preserving the in-order sequence
@@ -281,8 +287,8 @@ func (ix *PosIndex) rotateUp(cl *childTreap, x *posNode) {
 // slices — a test hook.
 func (ix *PosIndex) validate() error {
 	for pid, cl := range ix.lists {
-		parent := ix.t.Node(pid)
-		if parent == nil {
+		parent := ix.t.Node(NodeID(pid))
+		if cl == nil || parent == nil {
 			continue // parent deleted; its list must be empty
 		}
 		var seq []NodeID

@@ -152,6 +152,39 @@ func TestMoveSemantics(t *testing.T) {
 	}
 }
 
+// TestMoveOutOfRangeLeavesTreeUnchanged: a move to a position outside
+// the post-detach range fails before anything is detached, so the tree,
+// its validity and its maintained position index are as before.
+func TestMoveOutOfRangeLeavesTreeUnchanged(t *testing.T) {
+	tr := buildSample(t)
+	s1, s2 := tr.Root().Child(1), tr.Root().Child(2)
+	ix := tr.Positions()
+	ix.Rank(s1.Child(2))
+	ix.Rank(s2)
+	want := tr.String()
+	for _, c := range []struct {
+		n, parent *Node
+		k         int
+	}{
+		{s1.Child(1), s2, 3}, // s2 has 1 child: range [1,2]
+		{s1.Child(1), s1, 3}, // own parent, 2 children: range [1,2]
+		{s1.Child(1), s1, 0},
+	} {
+		if err := tr.Move(c.n, c.parent, c.k); err == nil {
+			t.Fatalf("Move(%v, %v, %d): expected error", c.n, c.parent, c.k)
+		}
+		if got := tr.String(); got != want {
+			t.Fatalf("failed move changed the tree:\n%s\nwant\n%s", got, want)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Validate after failed move: %v", err)
+		}
+		if err := ix.validate(); err != nil {
+			t.Fatalf("PosIndex after failed move: %v", err)
+		}
+	}
+}
+
 func TestIntraParentMove(t *testing.T) {
 	tr := NewWithRoot("r", "")
 	var ids []NodeID
