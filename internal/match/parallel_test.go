@@ -3,6 +3,7 @@ package match_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ladiff/internal/gen"
@@ -170,4 +171,45 @@ func TestParallelismValidation(t *testing.T) {
 	if !pairsEqual(m, seq) {
 		t.Fatal("default parallelism and sequential disagree")
 	}
+}
+
+// TestParallelWideRankGroupAllocation pins a parallel fork's cost at
+// O(1). Both rank groups of this pair hold hundreds of labels (an XML
+// file with that many distinct element names looks the same), so the
+// parallel run makes one fork per label. Forks share the matcher's
+// ID-indexed tables, so the parallel run may allocate at most 2 KiB per
+// label beyond the sequential run; a fork with IDBound-sized tables of
+// its own would cost over 100 KiB on this 3 500-node pair.
+func TestParallelWideRankGroupAllocation(t *testing.T) {
+	t1, t2 := gen.MultiLabelPair(1, 1000, 800, 0.05)
+	labels := map[tree.Label]bool{}
+	for _, tr := range []*tree.Tree{t1, t2} {
+		for _, n := range tr.PreOrder() {
+			labels[n.Label()] = true
+		}
+	}
+	run := func(par int) (*Matching, Stats, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		stats := &Stats{}
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m, err := FastMatch(t1, t2, Options{Parallelism: par, Stats: stats})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, *stats, after.TotalAlloc - before.TotalAlloc
+	}
+	run(1) // builds both trees' indexes
+	seq, seqStats, seqAlloc := run(1)
+	par, parStats, parAlloc := run(2)
+	if !pairsEqual(seq, par) || seqStats != parStats {
+		t.Fatal("parallel run differs from sequential")
+	}
+	if limit := seqAlloc + 2<<10*uint64(len(labels)); parAlloc > limit {
+		t.Errorf("parallel run allocated %d bytes over %d labels, sequential %d; limit %d",
+			parAlloc, len(labels), seqAlloc, limit)
+	}
+	t.Logf("%d labels: sequential %d bytes, parallel %d bytes", len(labels), seqAlloc, parAlloc)
 }
