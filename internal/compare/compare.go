@@ -13,6 +13,7 @@ package compare
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"ladiff/internal/lcs"
 )
@@ -66,24 +67,30 @@ func WordSliceLCS(wa, wb []string) float64 {
 	return unmatched / float64(maxLen)
 }
 
-// Tokens is a value prepared for many bounded word-LCS comparisons: its
-// words (those of Words), a 6-bit hash bin per word, and the mask of the
-// bins that occur. Tokenize builds it; Within compares two.
+// Tokens is a value prepared for many bounded word-LCS comparisons: a
+// 6-bit hash bin per word and the mask of the bins that occur, all that
+// Within's bounds read. Tokenize builds it; Within compares two, and
+// splits the words only for a pair that reaches the Myers search.
 type Tokens struct {
-	words []string
+	value string
 	bins  []uint8
 	mask  uint64
+	words []string // Words(value), nil until Within needs them
 }
 
-// Tokenize splits s into words and bins each one, in two allocations:
-// the words and their bins.
-func Tokenize(s string) Tokens { return tokensOf(Words(s)) }
-
-func tokensOf(words []string) Tokens {
-	t := Tokens{words: words, bins: make([]uint8, len(words))}
-	for i, w := range words {
-		t.bins[i] = wordBin(w)
-		t.mask |= 1 << t.bins[i]
+// Tokenize bins each word of s in one scan, with one allocation for up
+// to 128 words and none when s has no words.
+func Tokenize(s string) Tokens {
+	var buf [128]uint8
+	bins := buf[:0]
+	t := Tokens{value: s}
+	for ws, we := NextWord(s, 0); ws < len(s); ws, we = NextWord(s, we) {
+		k := wordBin(s[ws:we])
+		bins = append(bins, k)
+		t.mask |= 1 << k
+	}
+	if len(bins) > 0 {
+		t.bins = append([]uint8(nil), bins...)
 	}
 	return t
 }
@@ -114,10 +121,11 @@ func wordBin(w string) uint8 {
 //     the search but never rejecting a pair within limit.
 //
 // Only the pairs that pass both reach the Myers search, which stops once
-// D provably exceeds maxD. Within agrees with WordSliceLCS ≤ limit for
-// every input and every limit.
+// D provably exceeds maxD; only they fill the words of a and b, so no two
+// goroutines may compare one Tokens at once. Within agrees with
+// WordSliceLCS ≤ limit for every input and every limit.
 func (a *Tokens) Within(b *Tokens, limit float64) bool {
-	n, m := len(a.words), len(b.words)
+	n, m := len(a.bins), len(b.bins)
 	switch {
 	case limit >= MaxDistance:
 		return true
@@ -134,6 +142,12 @@ func (a *Tokens) Within(b *Tokens, limit float64) bool {
 	}
 	if n+m-2*hits(a.bins, b.mask) > maxD || n+m-2*hits(b.bins, a.mask) > maxD {
 		return false
+	}
+	if a.words == nil {
+		a.words = Words(a.value)
+	}
+	if b.words == nil {
+		b.words = Words(b.value)
 	}
 	_, ok := lcs.DistanceWithin(n, m, maxD, func(i, j int) bool { return a.words[i] == b.words[j] })
 	return ok
@@ -184,6 +198,38 @@ func foldWords(s string) []string {
 
 // Words splits a value into whitespace-separated words.
 func Words(s string) []string { return strings.Fields(s) }
+
+// NextWord returns the bounds of the first word of s at or after i; ws is
+// len(s) when only whitespace is left. Words and whitespace are those of
+// strings.Fields: an invalid UTF-8 byte is a one-byte non-space rune.
+func NextWord(s string, i int) (ws, we int) {
+	ws = skip(s, i, true)
+	return ws, skip(s, ws, false)
+}
+
+// skip returns the index of the first rune of s at or after i whose
+// unicode.IsSpace differs from space, or len(s).
+func skip(s string, i int, space bool) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				break
+			}
+			i++
+		} else {
+			r, w := utf8.DecodeRuneInString(s[i:])
+			if unicode.IsSpace(r) != space {
+				break
+			}
+			i += w
+		}
+	}
+	return i
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts. A table lookup, because NextWord reads every byte parsed.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Levenshtein returns a character-level edit distance normalized into
 // [0,2]: 2·dist / max(len(a), len(b)) over runes. It is an alternative

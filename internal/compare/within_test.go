@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +22,10 @@ func collidingWords() (string, string) {
 		seen[wordBin(w)] = w
 	}
 }
+
+// tokensOf returns the Tokens of a value whose words are given: none of
+// them may be empty or hold whitespace.
+func tokensOf(words []string) Tokens { return Tokenize(strings.Join(words, " ")) }
 
 // checkWithin fails t unless Tokens.Within agrees with comparing the full
 // WordSliceLCS distance, at a sweep of limits that includes the exact
@@ -96,18 +102,56 @@ func TestTokensWithinLimits(t *testing.T) {
 	}
 }
 
-// TestTokenizeAllocs pins Tokenize at two allocations: the words and
-// their bins.
+// TestTokenizeAllocs pins Tokenize at one allocation, the bins, and at
+// none for a value without words.
 func TestTokenizeAllocs(t *testing.T) {
 	s := "the quick brown fox jumps over the lazy dog near the river"
 	if n := len(Words(s)); n != 12 {
 		t.Fatalf("sentence has %d words, want 12", n)
 	}
 	var sink Tokens
-	if allocs := testing.AllocsPerRun(100, func() { sink = Tokenize(s) }); allocs > 2 {
-		t.Errorf("Tokenize: %v allocations, want ≤ 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sink = Tokenize(s) }); allocs > 1 {
+		t.Errorf("Tokenize: %v allocations, want ≤ 1", allocs)
+	}
+	for _, s := range []string{"", " \t\n\u3000"} {
+		if allocs := testing.AllocsPerRun(100, func() { sink = Tokenize(s) }); allocs != 0 {
+			t.Errorf("Tokenize(%q): %v allocations, want 0", s, allocs)
+		}
 	}
 	_ = sink
+}
+
+// TestTokensSplitOnlyForMyers: a pair that either exact bound rejects
+// leaves both values unsplit; a pair that reaches the Myers search splits
+// each value once, and comparing it again allocates nothing.
+func TestTokensSplitOnlyForMyers(t *testing.T) {
+	for _, c := range []struct{ name, a, b string }{
+		{"length bound", "one two three four five six", "one"},
+		{"bag bound", "alpha beta gamma delta", "epsilon zeta eta theta"},
+	} {
+		a, b := Tokenize(c.a), Tokenize(c.b)
+		if a.Within(&b, 0.5) {
+			t.Fatalf("%s: %q and %q within 0.5", c.name, c.a, c.b)
+		}
+		if a.words != nil || b.words != nil {
+			t.Errorf("%s: rejected pair split its words: %q, %q", c.name, a.words, b.words)
+		}
+	}
+
+	a, b := Tokenize("the quick brown fox"), Tokenize("the slow brown fox")
+	if !a.Within(&b, 0.5) {
+		t.Fatal("one substituted word of four is not within 0.5")
+	}
+	if !slices.Equal(a.words, Words(a.value)) || !slices.Equal(b.words, Words(b.value)) {
+		t.Fatalf("words after the search: %q, %q", a.words, b.words)
+	}
+	wa, wb := &a.words[0], &b.words[0]
+	if allocs := testing.AllocsPerRun(100, func() { a.Within(&b, 0.5) }); allocs != 0 {
+		t.Errorf("second compare: %v allocations, want 0", allocs)
+	}
+	if &a.words[0] != wa || &b.words[0] != wb {
+		t.Error("second compare split the words again")
+	}
 }
 
 // FuzzTokensWithin checks Within against the full distance: at the

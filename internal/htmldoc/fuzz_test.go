@@ -27,6 +27,12 @@ func FuzzParse(f *testing.F) {
 		"<p attr=\"x\">attributed.</p>",
 		"<br/><p>after break.</p>",
 		"<script>ȺȺȺȺ</script><p>Hello there.</p>",
+		// Text runs split by inline tags, entities and whitespace, as in
+		// TestTextRunsMatchWordReference.
+		"<p>foo<b>bar</b> baz.</p>",
+		"<p>Fish &amp; chips.&nbsp;Salt&nbsp;&amp;&nbsp;vinegar.</p>",
+		"<p>Tabs\tand\nnew\r\nlines.<br>After the break.<br/>Last one</p>",
+		"<p>Before. <i> \t\n </i>After.</p>",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -226,7 +226,9 @@ func (p *parser) text(s string) {
 		p.headBuf = append(p.headBuf, strings.Fields(s)...)
 		return
 	}
-	p.textBuf = append(p.textBuf, strings.Fields(s)...)
+	// The whole run is kept: flushText joins the runs with spaces, so a
+	// tag still ends a word, and SplitSentences normalizes whitespace.
+	p.textBuf = append(p.textBuf, s)
 }
 
 func (p *parser) flushText() {

@@ -17,6 +17,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"ladiff/internal/compare"
 	"ladiff/internal/fault"
 	"ladiff/internal/gen"
 	"ladiff/internal/lderr"
@@ -295,7 +296,7 @@ func SplitSentences(text string) []string {
 	single := true       // every gap inside it so far is one ' '
 	prev := 0            // end of the last word
 	for {
-		ws, we := nextWord(text, prev)
+		ws, we := compare.NextWord(text, prev)
 		if ws == len(text) {
 			break
 		}
@@ -332,49 +333,13 @@ func appendSentence(out []string, text string, first, end, size int, single bool
 	}
 	var b strings.Builder
 	b.Grow(size)
-	for ws, we := nextWord(span, 0); ws < len(span); ws, we = nextWord(span, we) {
+	for ws, we := compare.NextWord(span, 0); ws < len(span); ws, we = compare.NextWord(span, we) {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
 		b.WriteString(span[ws:we])
 	}
 	return append(out, b.String())
-}
-
-// nextWord returns the bounds of the first word of s at or after i; ws is
-// len(s) when only whitespace is left. Words and whitespace are those of
-// strings.Fields: an invalid UTF-8 byte is a one-byte non-space rune.
-func nextWord(s string, i int) (ws, we int) {
-	for i < len(s) {
-		space, w := spaceAt(s, i)
-		if !space {
-			break
-		}
-		i += w
-	}
-	ws = i
-	for i < len(s) {
-		space, w := spaceAt(s, i)
-		if space {
-			break
-		}
-		i += w
-	}
-	return ws, i
-}
-
-// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
-// accepts. A table lookup, because spaceAt runs for every byte parsed.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// spaceAt reports whether the rune starting at s[i] is whitespace, and
-// its width in bytes.
-func spaceAt(s string, i int) (bool, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return asciiSpace[c], 1
-	}
-	r, w := utf8.DecodeRuneInString(s[i:])
-	return unicode.IsSpace(r), w
 }
 
 func isSentenceEnd(word string) bool {

@@ -78,24 +78,37 @@ func Render(dt *delta.Tree) string {
 	r := &renderer{labels: map[*delta.Node]string{}}
 	r.assignMoveLabels(dt.Root)
 	var b strings.Builder
-	b.WriteString("\\documentclass{article}\n\\usepackage{marginnote}\n\\begin{document}\n\n")
+	b.Grow(len(markedHead) + r.size + len(markedTail))
+	b.WriteString(markedHead)
 	r.node(&b, dt.Root)
-	b.WriteString("\\end{document}\n")
+	b.WriteString(markedTail)
 	return b.String()
 }
+
+const markedHead, markedTail = "\\documentclass{article}\n\\usepackage{marginnote}\n\\begin{document}\n\n", "\\end{document}\n"
+
+// nodeMarkup and changeMarkup are the markup bytes Render's size estimate
+// adds per node and per changed node. On gen's classes at 300–1500 nodes
+// a pair, the output is 0.94–0.99 of the estimate: one allocation.
+const nodeMarkup, changeMarkup = 2, 24
 
 type renderer struct {
 	labels     map[*delta.Node]string // MoveSource and MoveDest → "S1"/"P2"
 	sentenceCt int
 	blockCt    int
+	size       int // the output size estimate, without head and tail
 }
 
 // assignMoveLabels walks the delta tree once, numbering move pairs in
 // document order of their destinations so footnote references read
-// naturally.
+// naturally, and sums the output size estimate.
 func (r *renderer) assignMoveLabels(n *delta.Node) {
 	if n == nil {
 		return
+	}
+	r.size += len(n.Value) + nodeMarkup
+	if n.Kind != delta.Identity {
+		r.size += changeMarkup
 	}
 	if n.Kind == delta.MoveSource && n.Dest() != nil {
 		if _, done := r.labels[n]; !done {

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unicode"
-	"unicode/utf8"
 	"unsafe"
 
 	"ladiff/internal/tree"
@@ -158,16 +156,6 @@ func TestSplitSentencesAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() { sentenceSink = SplitSentences(text) })
 		if limit := n + 1; allocs > float64(limit) || n == 0 && allocs != 0 {
 			t.Errorf("SplitSentences(%q): %v allocations for %d sentences, want at most %d", text, allocs, n, limit)
-		}
-	}
-}
-
-// TestASCIISpaceTable: the byte table spaceAt consults agrees with
-// unicode.IsSpace on every byte below utf8.RuneSelf.
-func TestASCIISpaceTable(t *testing.T) {
-	for c := 0; c < utf8.RuneSelf; c++ {
-		if asciiSpace[c] != unicode.IsSpace(rune(c)) {
-			t.Errorf("byte %#x: table says %v, unicode.IsSpace %v", c, asciiSpace[c], !asciiSpace[c])
 		}
 	}
 }

@@ -180,7 +180,9 @@ type matcher struct {
 	m *Matching
 	// toks1/toks2 cache compare.Tokenize(value) per node per tree,
 	// indexed by node ID and sized by the tree's IDBound; the token path
-	// runs only when Options.Compare is nil. Parallel forks share them.
+	// runs only when Options.Compare is nil. Parallel forks share them,
+	// though Within fills words in place: both nodes of a compare have
+	// one label, and one fork owns every node of its label.
 	toks1, toks2 []*compare.Tokens
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first

@@ -32,6 +32,10 @@ func Match(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	if err != nil {
 		return nil, err
 	}
+	// The tables are sized once, to both trees' bounds: every Add writes
+	// in place, and the parallel rounds' workers, which share the
+	// tables, never reallocate one.
+	mr.m.reserve(t1.IDBound(), t2.IDBound())
 	if mr.opts.Key != nil {
 		if err := mr.matchByKeys(mr.opts.Key); err != nil {
 			return nil, err
@@ -102,6 +106,7 @@ func FastMatch(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	if err != nil {
 		return nil, err
 	}
+	mr.m.reserve(t1.IDBound(), t2.IDBound())
 	if mr.opts.Key != nil {
 		if err := mr.matchByKeys(mr.opts.Key); err != nil {
 			return nil, err

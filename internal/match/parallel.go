@@ -66,10 +66,9 @@ func (mr *matcher) rounds(process func(*matcher, tree.Label)) {
 
 // runGroupParallel processes one independent rank group with a bounded
 // worker pool: one fork per label, at most Parallelism running at once.
-// The matching's tables are first grown to both trees' bounds, so the
-// workers' Adds write in place and never reallocate a shared table.
+// Match and FastMatch have grown the matching's tables to both trees'
+// bounds, so the workers' Adds write in place.
 func (mr *matcher) runGroupParallel(group []tree.Label, process func(*matcher, tree.Label)) {
-	mr.m.reserve(mr.t1.IDBound(), mr.t2.IDBound())
 	subs := make([]*matcher, len(group))
 	sem := make(chan struct{}, mr.opts.Parallelism)
 	var wg sync.WaitGroup
@@ -101,7 +100,7 @@ func (mr *matcher) runGroupParallel(group []tree.Label, process func(*matcher, t
 // fork returns a worker matcher that shares the trees, indexes, token
 // caches, work budget and the matching's tables with mr. Its matching is
 // a view of mr.m — the same fwd/rev backing arrays, which
-// runGroupParallel has already grown to the trees' bounds — with a
+// Match and FastMatch have already grown to the trees' bounds — with a
 // private pair count; its stats and latched error are private too. Its
 // own state is therefore O(1), whatever the size of the trees.
 func (mr *matcher) fork() *matcher {

@@ -137,6 +137,44 @@ func TestQuickParallelMemoEquivalence(t *testing.T) {
 	}
 }
 
+// TestParallelForksReachMyers runs FastMatch at Parallelism 2 on
+// multi-label pairs whose leaf labels share a rank, so one fork per leaf
+// label compares values through the shared token caches. A compare that
+// reaches the Myers search fills its values' words there; one fork owns
+// every node of a label, so under -race this shows the fill unshared. A
+// matched leaf pair whose values differ passed both exact bounds and the
+// search, so counting those pairs shows the forks reached it. Pairs and
+// Stats must equal the sequential run's.
+func TestParallelForksReachMyers(t *testing.T) {
+	reached := 0
+	for seed := int64(0); seed < 5; seed++ {
+		t1, t2 := multiSchemaPair(seed)
+		seqStats, parStats := &Stats{}, &Stats{}
+		seq, err := FastMatch(t1, t2, Options{Parallelism: 1, Stats: seqStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := FastMatch(t1, t2, Options{Parallelism: 2, Stats: parStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pairsEqual(seq, par) || *seqStats != *parStats {
+			t.Fatalf("seed %d: parallel run differs\nseq: %v %+v\npar: %v %+v",
+				seed, seq.Pairs(), *seqStats, par.Pairs(), *parStats)
+		}
+		for _, p := range par.Pairs() {
+			x, y := t1.Node(p.Old), t2.Node(p.New)
+			if x.IsLeaf() && x.Value() != y.Value() {
+				reached++
+			}
+		}
+	}
+	if reached == 0 {
+		t.Fatal("no matched leaf pair with differing values: the forks never reached the Myers search")
+	}
+	t.Logf("%d matched leaf pairs reached the Myers search", reached)
+}
+
 // TestParallelMemoEquivalenceOnDocuments repeats the equivalence check
 // on the document-schema generator with perturbations — singleton rank
 // groups, so this exercises the sequential fallback itself.

@@ -25,28 +25,36 @@ func reopenAndVerify(t *testing.T, path string, cfg Config, want map[string][]st
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	verifyVersions(t, s, want)
+	return s
+}
+
+// verifyVersions checks that s holds exactly the versions in want, each
+// key's fingerprints in version order, and that every one checks out to
+// a tree with its recorded fingerprint.
+func verifyVersions(t *testing.T, s *Store, want map[string][]string) {
+	t.Helper()
 	for key, fps := range want {
 		vers, err := s.Versions(key)
 		if err != nil {
-			t.Fatalf("versions of %s after reopen: %v", key, err)
+			t.Fatalf("versions of %s: %v", key, err)
 		}
 		if len(vers) != len(fps) {
-			t.Fatalf("%s: %d versions after reopen, want %d", key, len(vers), len(fps))
+			t.Fatalf("%s: %d versions, want %d", key, len(vers), len(fps))
 		}
 		for v := 1; v <= len(fps); v++ {
 			got, info, err := s.Checkout(context.Background(), key, v)
 			if err != nil {
-				t.Fatalf("checkout %s v%d after reopen: %v", key, v, err)
+				t.Fatalf("checkout %s v%d: %v", key, v, err)
 			}
 			if info.Fingerprint != fps[v-1] {
-				t.Fatalf("%s v%d: replayed fingerprint %s, ingested %s", key, v, info.Fingerprint, fps[v-1])
+				t.Fatalf("%s v%d: checkout fingerprint %s, ingested %s", key, v, info.Fingerprint, fps[v-1])
 			}
 			if got.Fingerprints().Root().String() != fps[v-1] {
-				t.Fatalf("%s v%d: replayed tree does not hash to its record", key, v)
+				t.Fatalf("%s v%d: checked-out tree does not hash to its record", key, v)
 			}
 		}
 	}
-	return s
 }
 
 // TestPersistRoundTrip: close and reopen restores every version of

@@ -267,14 +267,16 @@ func (s *Store) doc(key string, create bool) (*document, error) {
 	return d, nil
 }
 
-// sharedSnapshot interns t as a read-only snapshot: if an identical-
-// content tree (equal fingerprint, structurally confirmed) is already
-// retained, that tree is shared instead of keeping another copy.
+// sharedSnapshot interns t as a read-only snapshot: if a tree of equal
+// fingerprint that is identical to t, node IDs and IDBound included, is
+// already retained, that tree is shared instead of keeping another copy.
+// Equal content is not enough: checkouts replay ID-addressed inverse
+// scripts on the snapshot.
 func (s *Store) sharedSnapshot(t *tree.Tree) *tree.Tree {
 	fp := fpOf(t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev := s.sharedSnaps[fp]; prev != nil && tree.Isomorphic(prev, t) {
+	if prev := s.sharedSnaps[fp]; prev != nil && tree.Identical(prev, t) {
 		s.ctr.sharedSnaps.Add(1)
 		return prev
 	}

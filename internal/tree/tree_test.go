@@ -302,6 +302,34 @@ func TestDepthAndAncestor(t *testing.T) {
 	}
 }
 
+// TestIdenticalComparesIDs: Identical is Isomorphic plus equal node IDs
+// at every node and an equal IDBound.
+func TestIdenticalComparesIDs(t *testing.T) {
+	tr := buildSample(t)
+	if cp := tr.Clone(); !Identical(tr, cp) {
+		t.Fatal("a clone is not identical")
+	}
+	// The same content built in another order numbers its nodes apart.
+	a, b := NewWithRoot("doc", ""), NewWithRoot("doc", "")
+	pa := a.AppendChild(a.Root(), "p", "")
+	a.AppendChild(pa, "s", "one")
+	a.AppendChild(a.Root(), "p", "")
+	b.AppendChild(b.Root(), "p", "")
+	b.InsertChild(b.Root(), 1, "p", "")
+	b.AppendChild(b.Root().Child(1), "s", "one")
+	if !Isomorphic(a, b) || Identical(a, b) {
+		t.Fatalf("isomorphic %v, identical %v; want true, false", Isomorphic(a, b), Identical(a, b))
+	}
+	// Equal IDs everywhere, but an ID once used raises the bound.
+	grown := tr.Clone()
+	if err := grown.Delete(grown.AppendChild(grown.Root(), "x", "")); err != nil {
+		t.Fatal(err)
+	}
+	if Identical(tr, grown) || !Isomorphic(tr, grown) {
+		t.Fatalf("bounds %d and %d: identical %v", tr.IDBound(), grown.IDBound(), Identical(tr, grown))
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	tr := buildSample(t)
 	cp := tr.Clone()
