@@ -269,7 +269,15 @@ var entities = strings.NewReplacer(
 	"&ndash;", "–",
 )
 
-func decodeEntities(s string) string { return entities.Replace(s) }
+// decodeEntities returns a run without '&' as it is: the replacer's
+// patterns are longer than a byte, so its Replace walks a trie per byte
+// and allocates even when nothing matches.
+func decodeEntities(s string) string {
+	if strings.IndexByte(s, '&') < 0 {
+		return s
+	}
+	return entities.Replace(s)
+}
 
 // Render converts a document tree into simple HTML, the inverse of Parse
 // up to whitespace.
@@ -309,10 +317,19 @@ func Render(t *tree.Tree) string {
 			}
 			b.WriteString("</ul>\n")
 		case gen.LabelItem:
+			// An item can hold the sentences of several text runs (cut
+			// by a nested list or paragraph), and a run's last sentence
+			// may lack an end the splitter accepts. A <p> after such a
+			// sentence keeps the next one apart on re-parse.
 			b.WriteString("<li>")
-			for i, c := range n.Children() {
+			kids := n.Children()
+			for i, c := range kids {
 				if i > 0 {
-					b.WriteByte(' ')
+					if latex.EndsSentence(kids[i-1].Value()) {
+						b.WriteByte(' ')
+					} else {
+						b.WriteString("<p>")
+					}
 				}
 				b.WriteString(escape(c.Value()))
 			}

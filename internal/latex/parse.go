@@ -342,6 +342,17 @@ func appendSentence(out []string, text string, first, end, size int, single bool
 	return append(out, b.String())
 }
 
+// EndsSentence reports whether SplitSentences ends a sentence at the
+// last word of s, so that words following s begin a new one. It
+// allocates nothing.
+func EndsSentence(s string) bool {
+	last := ""
+	for ws, we := compare.NextWord(s, 0); ws < len(s); ws, we = compare.NextWord(s, we) {
+		last = s[ws:we]
+	}
+	return isSentenceEnd(last)
+}
+
 func isSentenceEnd(word string) bool {
 	// Strip closing punctuation that may follow the terminator. Byte
 	// loops, because strings.TrimRight with a cutset of several bytes

@@ -160,6 +160,23 @@ func TestSplitSentencesAllocs(t *testing.T) {
 	}
 }
 
+// TestEndsSentence: EndsSentence(s) holds exactly when a word written
+// after s starts a sentence of its own, and it allocates nothing.
+func TestEndsSentence(t *testing.T) {
+	for _, s := range []string{
+		"One.", "Two words!", "Why?", `Quoted."`, "(Aside.)", "Tab.\t",
+		"e.g.", "Dr.", "Apples, pears, etc.", "no end", "0", "Wide\u3000space.",
+	} {
+		want := len(SplitSentences(s+" next")) > len(SplitSentences(s))
+		if got := EndsSentence(s); got != want {
+			t.Errorf("EndsSentence(%q) = %v, want %v", s, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { EndsSentence(s) }); n != 0 {
+			t.Errorf("EndsSentence(%q): %v allocations, want 0", s, n)
+		}
+	}
+}
+
 // byteRange is the address range of a string's bytes.
 type byteRange struct{ lo, hi uintptr }
 

@@ -298,7 +298,7 @@ func (rt *Router) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	defer rt.inflight.Done()
 	rt.met.requests.Add(1)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := readBody(r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		rt.met.failed.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_request", "reading request body: "+err.Error())
@@ -326,6 +326,20 @@ func (rt *Router) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.proxy(w, r, body)
+}
+
+// readBody reads r's body, up to limit+1 bytes so that the caller can
+// tell an oversize one. A body whose declared length is within limit
+// is read into one buffer of that size, and one that declares 0 is not
+// read at all; only an unknown length (or an oversize one) goes through
+// io.ReadAll, whose buffer starts at 512 bytes and doubles.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, limit+1))
 }
 
 // shardKey maps a request to its ring key. Document routes shard on

@@ -703,3 +703,59 @@ func TestRouterNoReplicas(t *testing.T) {
 }
 
 func mustURL(path string) *url.URL { return &url.URL{Path: path} }
+
+// unreadBody reports a read of a body that declared itself empty.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("a body that declared 0 bytes was read")
+	return 0, io.EOF
+}
+
+// TestReadBody: a declared length within the limit is read into one
+// buffer of exactly that size and a declared 0 is not read at all; an
+// unknown length is read whole; a body past the limit comes back one
+// byte over it, declared or not, and the router answers it 413 as
+// before.
+func TestReadBody(t *testing.T) {
+	const limit = 64
+	req := func(body io.Reader, declared int64) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/diff", body)
+		r.ContentLength = declared
+		return r
+	}
+	text := strings.Repeat("x", 40)
+	if got, err := readBody(req(strings.NewReader(text), 40), limit); err != nil || string(got) != text || cap(got) != 40 {
+		t.Errorf("declared 40: %q (cap %d), %v; want the body in a 40-byte buffer", got, cap(got), err)
+	}
+	if got, err := readBody(req(unreadBody{t}, 0), limit); err != nil || len(got) != 0 {
+		t.Errorf("declared 0: %q, %v; want nothing", got, err)
+	}
+	if got, err := readBody(req(strings.NewReader(text), -1), limit); err != nil || string(got) != text {
+		t.Errorf("unknown length: %q, %v; want the body", got, err)
+	}
+	big := strings.Repeat("y", 100)
+	for _, declared := range []int64{100, -1} {
+		if got, err := readBody(req(strings.NewReader(big), declared), limit); err != nil || len(got) != limit+1 {
+			t.Errorf("declared %d past the limit: %d bytes, %v; want %d", declared, len(got), err, limit+1)
+		}
+	}
+	if _, err := readBody(req(strings.NewReader("short"), 40), limit); err == nil {
+		t.Error("a body shorter than its declared length read without error")
+	}
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt := newTestRouter(t, Config{Replicas: []string{dead.URL}, ProbeInterval: time.Hour, MaxBodyBytes: limit})
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	resp, err := http.Post(router.URL+"/v1/diff", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || errorCode(data) != "body_too_large" {
+		t.Errorf("oversize body: status %d %s, want 413 body_too_large", resp.StatusCode, data)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // cacheKey identifies a cached diff by content, not by request bytes:
 // the Merkle root fingerprints of the two parsed documents plus every
 // request option that can change the response. It is the entry's
-// identity and the second lookup level: a request whose source text
+// identity and the last lookup level: a request whose source text
 // differs from a cached one only in ways the parser normalizes away
 // (whitespace, say) misses the source key but still hits here. A hit
 // is safe to replay because parsing is deterministic: identical tree
@@ -25,7 +25,8 @@ type cacheKey struct {
 
 // sourceKey identifies a request by its source bytes: the SHA-256 of
 // both documents (see sourceDigest) plus the same options digest. It
-// is the first lookup level, checked before anything is parsed. The
+// is checked before anything is parsed: the first lookup level of batch
+// items and jobs, and the next after the body key on /v1/diff. The
 // same bytes under the same options parse to the same trees under the
 // server's fixed limits, and only sources that parsed within those
 // limits are ever stored, so a source hit may skip the parse. SHA-256
@@ -37,6 +38,15 @@ type sourceKey struct {
 	digest [sha256.Size]byte
 	opts   cacheOpts
 }
+
+// bodyKey identifies a POST /v1/diff request by its raw body: the
+// SHA-256 of the bytes as received. It is the first lookup level of
+// /v1/diff, checked before the body is even decoded. The same body
+// bytes decode to the same request, so they name the same source key
+// and the same answer; SHA-256 for the reason the source key uses it.
+// Batch items and jobs have no body of their own and use the zero key,
+// which the cache never indexes.
+type bodyKey [sha256.Size]byte
 
 // cacheOpts is the options digest of the key: a comparable struct of
 // the exact fields that influence the response, so distinct option
@@ -70,26 +80,38 @@ func sourceDigest(old, new string) [sha256.Size]byte {
 }
 
 // diffCache is the LRU of rendered diff responses — the serving-layer
-// tier of the fingerprint ladder. It is one cache with two indexes:
-// each entry lives under its content key and under one source key, the
-// latest that reached it, so the capacity counts entries, not keys.
-// Only successful, non-degraded responses are stored (a degraded result
-// reflects the budget pressure of its moment, not the documents).
-// Hit/miss/eviction counters land in the server Metrics for /metrics;
-// a request counts one hit or one miss, whichever level answers it.
+// tier of the fingerprint ladder. It is one cache with three indexes:
+// each entry lives under its content key, under one source key and
+// under at most one body key, the latest of each that reached it, so
+// the capacity counts entries, not keys. Only successful, non-degraded
+// responses are stored (a degraded result reflects the budget pressure
+// of its moment, not the documents). Miss and eviction counters land in
+// the server Metrics for /metrics, and the server counts each hit once
+// the request holds a slot (cacheHit); a request counts one hit or one
+// miss, whichever level answers it.
 type diffCache struct {
 	mu       sync.Mutex
 	max      int
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	byKey    map[cacheKey]*list.Element
 	bySource map[sourceKey]*list.Element
+	byBody   map[bodyKey]*list.Element
 	met      *Metrics
 }
 
+// cacheEntry is one stored response. Its resp never changes: a put
+// that replaces the response installs a new entry, so an encoding made
+// outside the lock can only ever be stored on the entry it encodes.
 type cacheEntry struct {
 	key  cacheKey
 	src  sourceKey
+	body bodyKey // zero until a /v1/diff request reaches the entry
 	resp DiffResponse
+	// hitJSON is resp as a hit (Cached set), encoded as writeJSON
+	// writes it. The entry's first body-level hit fills it and later
+	// ones write it as it is, so an entry holds at most one encoded
+	// copy of its own response.
+	hitJSON []byte
 }
 
 func newDiffCache(max int, met *Metrics) *diffCache {
@@ -98,26 +120,57 @@ func newDiffCache(max int, met *Metrics) *diffCache {
 		lru:      list.New(),
 		byKey:    make(map[cacheKey]*list.Element),
 		bySource: make(map[sourceKey]*list.Element),
+		byBody:   make(map[bodyKey]*list.Element),
 		met:      met,
 	}
 }
 
-// getSource returns the response stored for byte-identical sources. A
-// miss is not counted: the request goes on to parse and get, which
-// counts its outcome.
-func (c *diffCache) getSource(src sourceKey) (DiffResponse, bool) {
+// getBody returns the entry stored for a byte-identical /v1/diff body
+// and its hit encoding, nil until the entry's first body-level hit. It
+// refreshes the entry's recency but counts nothing: the request has
+// yet to pass admission, and one refused there is neither a hit nor a
+// miss. A miss goes on to decode the body, and a later level counts it.
+func (c *diffCache) getBody(bk bodyKey) (*cacheEntry, []byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byBody[bk]
+	if !ok {
+		return nil, nil, false
+	}
+	c.lru.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	return e, e.hitJSON, true
+}
+
+// setHitJSON memoizes e's hit encoding, made outside the lock. If e
+// was evicted or replaced meanwhile the bytes go with it, unreachable
+// from the cache.
+func (c *diffCache) setHitJSON(e *cacheEntry, b []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.hitJSON == nil {
+		e.hitJSON = b
+	}
+}
+
+// getSource returns the response stored for byte-identical sources,
+// and makes bk the entry's body key. A miss is not counted: the request
+// goes on to parse and get, which counts its outcome.
+func (c *diffCache) getSource(src sourceKey, bk bodyKey) (DiffResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.bySource[src]
 	if !ok {
 		return DiffResponse{}, false
 	}
+	c.learn(el, src, bk)
 	return c.hit(el), true
 }
 
 // get returns the response stored for content key k. A hit re-points
-// the entry's source key to src, the request that just reached it.
-func (c *diffCache) get(k cacheKey, src sourceKey) (DiffResponse, bool) {
+// the entry's source and body keys to src and bk, the request that
+// just reached it.
+func (c *diffCache) get(k cacheKey, src sourceKey, bk bodyKey) (DiffResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
@@ -125,7 +178,7 @@ func (c *diffCache) get(k cacheKey, src sourceKey) (DiffResponse, bool) {
 		c.met.CacheMisses.Add(1)
 		return DiffResponse{}, false
 	}
-	c.setSource(el, src)
+	c.learn(el, src, bk)
 	return c.hit(el), true
 }
 
@@ -134,39 +187,53 @@ func (c *diffCache) get(k cacheKey, src sourceKey) (DiffResponse, bool) {
 // allocations are shared across hits and are never mutated after store.
 func (c *diffCache) hit(el *list.Element) DiffResponse {
 	c.lru.MoveToFront(el)
-	c.met.CacheHits.Add(1)
 	return el.Value.(*cacheEntry).resp
 }
 
-// setSource makes src the source key of el's entry, dropping the one it
-// had.
-func (c *diffCache) setSource(el *list.Element, src sourceKey) {
+// learn makes src the source key of el's entry, and bk its body key
+// unless bk is zero (a batch item or job, which leaves the body key as
+// it is), dropping the keys they replace.
+func (c *diffCache) learn(el *list.Element, src sourceKey, bk bodyKey) {
 	e := el.Value.(*cacheEntry)
 	if e.src != src {
 		delete(c.bySource, e.src)
 		e.src = src
 	}
 	c.bySource[src] = el
+	if bk != (bodyKey{}) {
+		if e.body != bk {
+			delete(c.byBody, e.body)
+			e.body = bk
+		}
+		c.byBody[bk] = el
+	}
 }
 
-// put stores resp under both keys, evicting the least-recently-used
-// entry, and both its keys, when the cache is full.
-func (c *diffCache) put(k cacheKey, src sourceKey, resp DiffResponse) {
+// put stores resp under its keys, evicting the least-recently-used
+// entry, and all its keys, when the cache is full. A put over a stored
+// content key replaces that entry, whose source key, body key and
+// encoding go with it.
+func (c *diffCache) put(k cacheKey, src sourceKey, bk bodyKey, resp DiffResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := &cacheEntry{key: k, src: src, resp: resp}
 	if el, ok := c.byKey[k]; ok {
-		el.Value.(*cacheEntry).resp = resp
-		c.setSource(el, src)
+		old := el.Value.(*cacheEntry)
+		delete(c.bySource, old.src)
+		delete(c.byBody, old.body)
+		el.Value = e
+		c.learn(el, src, bk)
 		c.lru.MoveToFront(el)
 		return
 	}
-	el := c.lru.PushFront(&cacheEntry{key: k, src: src, resp: resp})
+	el := c.lru.PushFront(e)
 	c.byKey[k] = el
-	c.bySource[src] = el
+	c.learn(el, src, bk)
 	if c.lru.Len() > c.max {
 		oldest := c.lru.Remove(c.lru.Back()).(*cacheEntry)
 		delete(c.byKey, oldest.key)
 		delete(c.bySource, oldest.src)
+		delete(c.byBody, oldest.body)
 		c.met.CacheEvictions.Add(1)
 	}
 	c.met.CacheSize.Store(int64(c.lru.Len()))

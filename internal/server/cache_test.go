@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"ladiff/internal/fault"
 	"ladiff/internal/obs"
 )
 
@@ -134,7 +137,8 @@ func TestDiffCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestDiffCacheSkipsDegraded: a degraded response (budget fallback)
-// must not be stored — the repeat recomputes.
+// must not be stored — the repeat recomputes, and its exact body never
+// reaches an entry, so it is not answered at the body level either.
 func TestDiffCacheSkipsDegraded(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiffCacheEntries: 8, MatchWorkBudget: 1})
 	req := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text", Matcher: "simple"}
@@ -149,6 +153,9 @@ func TestDiffCacheSkipsDegraded(t *testing.T) {
 	}
 	if m := s.Metrics().Snapshot(); m.Cache.Hits != 0 {
 		t.Errorf("cache hits = %d, want 0", m.Cache.Hits)
+	}
+	if indexed, _ := bodyState(s, marshalDiff(t, req)); indexed {
+		t.Error("a degraded request's body key is indexed")
 	}
 }
 
@@ -387,15 +394,265 @@ func TestDiffCacheConcurrent(t *testing.T) {
 	c := s.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.lru.Len(); len(c.bySource) > n || n > capacity || len(c.byKey) != n {
-		t.Errorf("indexes hold %d source / %d content keys over %d entries (capacity %d)",
-			len(c.bySource), len(c.byKey), n, capacity)
+	if n := c.lru.Len(); len(c.bySource) > n || len(c.byBody) > n || n > capacity || len(c.byKey) != n {
+		t.Errorf("indexes hold %d source / %d body / %d content keys over %d entries (capacity %d)",
+			len(c.bySource), len(c.byBody), len(c.byKey), n, capacity)
 	}
+	bodies := 0
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		if c.byKey[e.key] != el || c.bySource[e.src] != el {
 			t.Errorf("entry %+v is not indexed under both its keys", e.key)
 		}
+		if e.body != (bodyKey{}) {
+			bodies++
+			if c.byBody[e.body] != el {
+				t.Errorf("entry %+v is not indexed under its body key", e.key)
+			}
+		}
+	}
+	if bodies != len(c.byBody) {
+		t.Errorf("%d body keys indexed, %d held by entries", len(c.byBody), bodies)
+	}
+}
+
+// postRaw posts body to /v1/diff byte for byte. It reports a transport
+// failure with t.Error, so goroutines may call it.
+func postRaw(t *testing.T, ts *httptest.Server, body []byte) (int, []byte, http.Header) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/diff", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0, nil, nil
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp.StatusCode, out, resp.Header
+}
+
+// marshalDiff encodes req as a /v1/diff body.
+func marshalDiff(t *testing.T, req DiffRequest) []byte {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// bodyState reports whether the cache indexes body's key, and whether
+// the entry it names holds its hit encoding.
+func bodyState(s *Server, body []byte) (indexed, encoded bool) {
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byBody[sha256.Sum256(body)]
+	if !ok {
+		return false, false
+	}
+	return true, el.Value.(*cacheEntry).hitJSON != nil
+}
+
+// TestDiffCacheBodyHitMatchesSourceHit: a byte-identical repeat is
+// answered at the body level with exactly the bytes and headers a
+// source-level hit writes for the same documents, reached here through
+// other bodies: the same request with its fields in another order, and
+// with a timeout. Each of those takes over the entry's body key, and
+// nothing parses after the first request.
+func TestDiffCacheBodyHitMatchesSourceHit(t *testing.T) {
+	quote := func(s string) string { b, _ := json.Marshal(s); return string(b) }
+	for _, c := range []struct{ format, output, old, new string }{
+		{"text", "script", cacheOld, cacheNew},
+		{"text", "delta", cacheOld, cacheNew},
+		{"html", "marked", "<p>First sentence here. Second sentence here.</p><p>A & B.</p>",
+			"<p>First sentence here. Second sentence changed.</p><p>A & B.</p>"},
+	} {
+		s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
+		req := DiffRequest{Old: c.old, New: c.new, Format: c.format, Output: c.output}
+		first := marshalDiff(t, req)
+		reordered := []byte(fmt.Sprintf(`{"output":%q,"new":%s,"format":%q,"old":%s}`,
+			c.output, quote(c.new), c.format, quote(c.old)))
+		req.TimeoutMs = 5000
+		timed := marshalDiff(t, req)
+
+		if status, raw, _ := postRaw(t, ts, first); status != http.StatusOK {
+			t.Fatalf("%s/%s: first request: status %d: %s", c.format, c.output, status, raw)
+		}
+		if indexed, _ := bodyState(s, first); !indexed {
+			t.Fatalf("%s/%s: the stored entry did not learn the request's body key", c.format, c.output)
+		}
+		_, want, wantHdr := postRaw(t, ts, first)
+		if !bytes.Contains(want, []byte(`"cached":true`)) {
+			t.Fatalf("%s/%s: repeat was not a cache hit: %s", c.format, c.output, want)
+		}
+		for _, body := range [][]byte{reordered, timed, timed} {
+			status, got, hdr := postRaw(t, ts, body)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: %s answered %d\n%s\nwant the body-level hit's\n%s", c.format, c.output, body, status, got, want)
+			}
+			for _, h := range []string{"Content-Type", "Content-Length"} {
+				if hdr.Get(h) != wantHdr.Get(h) {
+					t.Errorf("%s/%s: %s = %q, body-level hit sent %q", c.format, c.output, h, hdr.Get(h), wantHdr.Get(h))
+				}
+			}
+			if indexed, _ := bodyState(s, body); !indexed {
+				t.Errorf("%s/%s: %s did not take over the entry's body key", c.format, c.output, body)
+			}
+		}
+		if indexed, _ := bodyState(s, first); indexed {
+			t.Errorf("%s/%s: an entry holds two body keys", c.format, c.output)
+		}
+		m := s.Metrics().Snapshot()
+		if m.PhaseUS["parse"].Count != 1 || m.Cache.Hits != 4 || m.Cache.Misses != 1 || m.DiffsTotal != 5 {
+			t.Errorf("%s/%s: %d parses, %d hits, %d misses, %d diffs; want 1, 4, 1, 5",
+				c.format, c.output, m.PhaseUS["parse"].Count, m.Cache.Hits, m.Cache.Misses, m.DiffsTotal)
+		}
+	}
+}
+
+// TestDiffCacheBodyKeyDropped: eviction drops an entry's body key with
+// the entry, and a put that replaces an entry's response drops the body
+// key and the encoding, so no body-level hit replays the old response.
+func TestDiffCacheBodyKeyDropped(t *testing.T) {
+	s, ts := newTestServer(t, Config{DiffCacheEntries: 1})
+	a := marshalDiff(t, DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"})
+	b := marshalDiff(t, DiffRequest{Old: "Entirely different text.", New: "Entirely different words.", Format: "text"})
+	post := func(body []byte) DiffResponse {
+		t.Helper()
+		status, raw, _ := postRaw(t, ts, body)
+		var resp DiffResponse
+		if status != http.StatusOK || json.Unmarshal(raw, &resp) != nil {
+			t.Fatalf("status %d: %s", status, raw)
+		}
+		return resp
+	}
+
+	post(a)
+	post(a)
+	if indexed, encoded := bodyState(s, a); !indexed || !encoded {
+		t.Fatalf("after a body-level hit: indexed %v, encoded %v; want both", indexed, encoded)
+	}
+	post(b) // evicts a's entry
+	if indexed, _ := bodyState(s, a); indexed {
+		t.Error("an evicted entry's body key is still indexed")
+	}
+	if resp := post(a); resp.Cached {
+		t.Error("a body whose entry was evicted was answered from the cache")
+	}
+
+	// A put over the resident content key, as a concurrent miss of the
+	// same pair makes, replaces the response.
+	post(a)
+	c := s.cache
+	c.mu.Lock()
+	e := c.byBody[sha256.Sum256(a)].Value.(*cacheEntry)
+	replacement := e.resp
+	replacement.Stats.PhaseMicros = map[string]int64{"parse": 424242}
+	k, src := e.key, e.src
+	c.mu.Unlock()
+	c.put(k, src, bodyKey{}, replacement)
+	if indexed, _ := bodyState(s, a); indexed {
+		t.Error("a replaced response's body key is still indexed")
+	}
+	c.mu.Lock()
+	e = c.byKey[k].Value.(*cacheEntry)
+	if e.hitJSON != nil || e.body != (bodyKey{}) {
+		t.Error("the replacing entry kept the old body key or encoding")
+	}
+	c.mu.Unlock()
+	// The next request for a reaches the new entry at the source level
+	// and teaches it a's body key; the body-level hit after it encodes
+	// the new response.
+	if resp := post(a); !resp.Cached || resp.Stats.PhaseMicros["parse"] != 424242 {
+		t.Errorf("source-level hit after the replace: cached %v, stats %+v", resp.Cached, resp.Stats)
+	}
+	if indexed, encoded := bodyState(s, a); !indexed || encoded {
+		t.Errorf("after a source-level hit: indexed %v, encoded %v; want indexed only", indexed, encoded)
+	}
+	if resp := post(a); !resp.Cached || resp.Stats.PhaseMicros["parse"] != 424242 {
+		t.Errorf("body-level hit after the replace: cached %v, stats %+v", resp.Cached, resp.Stats)
+	}
+}
+
+// TestDiffCacheBodyHitAdmission: a body-level hit takes a slot like any
+// request. With the only slot held and the queue full, a byte-identical
+// repeat is shed with 429 and counts no hit; the admitted repeats count
+// theirs only once they hold a slot.
+func TestDiffCacheBodyHitAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{DiffCacheEntries: 8, MaxConcurrent: 1, MaxQueue: 1})
+	body := marshalDiff(t, DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"})
+	if status, raw, _ := postRaw(t, ts, body); status != http.StatusOK {
+		t.Fatalf("first request: status %d: %s", status, raw)
+	}
+	// The gate may only be installed once no handler is left to read it.
+	waitFor(t, "first request retired", func() bool { return s.Metrics().InFlight.Load() == 0 })
+	gate := make(chan struct{})
+	s.testGate = gate
+	// Open the gate on every exit, so a failure before it opens leaves
+	// no handler parked for the test server's Close to wait on.
+	open := sync.OnceFunc(func() { close(gate) })
+	defer open()
+
+	results := make(chan int, 2)
+	post := func() {
+		status, _, _ := postRaw(t, ts, body)
+		results <- status
+	}
+	go post()
+	waitFor(t, "repeat in flight", func() bool { return s.Metrics().InFlight.Load() == 1 })
+	go post()
+	waitFor(t, "repeat queued", func() bool { return s.Metrics().Queued.Load() == 1 })
+
+	status, raw, hdr := postRaw(t, ts, body)
+	var envelope errorBody
+	if status != http.StatusTooManyRequests || json.Unmarshal(raw, &envelope) != nil || envelope.Error.Code != "queue_full" {
+		t.Errorf("repeat past a full queue: status %d %s, want 429 queue_full", status, raw)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("429 response missing Retry-After")
+	}
+	if m := s.Metrics().Snapshot(); m.Cache.Hits != 0 {
+		t.Errorf("cache hits = %d with both repeats held before the gate, want 0", m.Cache.Hits)
+	}
+
+	open()
+	for i := 0; i < 2; i++ {
+		if status := <-results; status != http.StatusOK {
+			t.Errorf("held repeat %d: status %d, want 200", i, status)
+		}
+	}
+	m := s.Metrics().Snapshot()
+	if m.Cache.Hits != 2 || m.Cache.Misses != 1 || m.DiffsTotal != 3 || m.RejectedQueueTotal != 1 {
+		t.Errorf("%d hits, %d misses, %d diffs, %d shed; want 2, 1, 3, 1",
+			m.Cache.Hits, m.Cache.Misses, m.DiffsTotal, m.RejectedQueueTotal)
+	}
+}
+
+// TestDiffCacheBodyHitWriteFault: an injected response-write failure on
+// a body-level hit answers 500, and the hit still counts once, so
+// cache.hits + cache.misses == diffs_total.
+func TestDiffCacheBodyHitWriteFault(t *testing.T) {
+	s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
+	body := marshalDiff(t, DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"})
+	if status, raw, _ := postRaw(t, ts, body); status != http.StatusOK {
+		t.Fatalf("first request: status %d: %s", status, raw)
+	}
+	deactivate := fault.Activate(fault.Plan{Rules: []fault.Rule{{Point: fault.ServerWrite, Mode: fault.ModeError}}})
+	status, raw, _ := postRaw(t, ts, body)
+	deactivate()
+	var envelope errorBody
+	if status != http.StatusInternalServerError || json.Unmarshal(raw, &envelope) != nil || envelope.Error.Code != "internal" {
+		t.Errorf("body-level hit under a write fault: status %d %s, want 500 internal", status, raw)
+	}
+	if status, raw, _ := postRaw(t, ts, body); status != http.StatusOK || !bytes.Contains(raw, []byte(`"cached":true`)) {
+		t.Errorf("repeat after the fault: status %d %s, want a 200 hit", status, raw)
+	}
+	m := s.Metrics().Snapshot()
+	if m.Cache.Hits != 2 || m.Cache.Misses != 1 || m.Cache.Hits+m.Cache.Misses != m.DiffsTotal {
+		t.Errorf("%d hits + %d misses, %d diffs_total; want 2 + 1 = 3", m.Cache.Hits, m.Cache.Misses, m.DiffsTotal)
 	}
 }
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,19 +128,34 @@ type ItemError struct {
 func (e *ItemError) Error() string { return e.Code + ": " + e.Message }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	// Chaos checkpoint for the response path: an injected error here
-	// turns into a 500, an injected panic is contained by recoverPanics.
+	if writeHeader(w, status) {
+		_ = json.NewEncoder(w).Encode(v)
+	}
+}
+
+// writeEncoded is writeJSON for a body already encoded as writeJSON
+// encodes it.
+func writeEncoded(w http.ResponseWriter, status int, body []byte) {
+	if writeHeader(w, status) {
+		_, _ = w.Write(body)
+	}
+}
+
+// writeHeader starts a JSON response with status and reports whether
+// the caller should write its body. It is the chaos checkpoint of the
+// response path: an injected error turns into a 500 written here, an
+// injected panic is contained by recoverPanics.
+func writeHeader(w http.ResponseWriter, status int) bool {
+	w.Header().Set("Content-Type", "application/json")
 	if err := fault.Check(fault.ServerWrite); err != nil {
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		_ = json.NewEncoder(w).Encode(errorBody{Error: errorDetail{
 			Code: "internal", Message: "response write failed",
 		}})
-		return
+		return false
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	return true
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -157,10 +174,22 @@ func (s *Server) endRequest() { s.core.End() }
 // readJSON reads the (size-capped) body into a pooled buffer and
 // decodes it, writing the appropriate error response on failure.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	buf := getBuf()
+	buf, ok := s.readBody(w, r)
+	if !ok {
+		return false
+	}
 	defer putBuf(buf)
+	return s.decodeJSON(w, buf.Bytes(), dst)
+}
+
+// readBody reads the (size-capped) body into a pooled buffer, which the
+// caller returns with putBuf, writing the appropriate error response on
+// failure.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := getBuf()
 	body := fault.Reader(fault.ServerRead, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if _, err := buf.ReadFrom(body); err != nil {
+		putBuf(buf)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.met.RejectedSize.Add(1)
@@ -170,9 +199,14 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 			s.met.BadRequests.Add(1)
 			writeError(w, http.StatusBadRequest, "bad_request", "error reading request body")
 		}
-		return false
+		return nil, false
 	}
-	if err := json.Unmarshal(buf.Bytes(), dst); err != nil {
+	return buf, true
+}
+
+// decodeJSON decodes a request body, writing 400 if it is malformed.
+func (s *Server) decodeJSON(w http.ResponseWriter, body []byte, dst any) bool {
+	if err := json.Unmarshal(body, dst); err != nil {
 		s.met.BadRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
 		return false
@@ -320,6 +354,9 @@ type diffPlan struct {
 	req     DiffRequest
 	output  string
 	matcher ladiff.Matcher
+	// body is the /v1/diff request's body key, which a cache hit or
+	// store teaches the entry; zero for batch items and jobs.
+	body bodyKey
 }
 
 // planDiff validates one diff request and resolves its defaults,
@@ -360,8 +397,25 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endRequest()
 
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	// Cache lookup, body level: the SHA-256 of the raw body. A hit skips
+	// decoding and everything after it.
+	var bk bodyKey
+	if s.cache != nil {
+		bk = sha256.Sum256(body.Bytes())
+		if e, hitJSON, ok := s.cache.getBody(bk); ok {
+			putBuf(body)
+			s.serveBodyHit(w, r, e, hitJSON)
+			return
+		}
+	}
 	var req DiffRequest
-	if !s.readJSON(w, r, &req) {
+	ok = s.decodeJSON(w, body.Bytes(), &req)
+	putBuf(body)
+	if !ok {
 		return
 	}
 	plan, ierr := s.planDiff(req)
@@ -369,6 +423,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.writeItemError(w, ierr)
 		return
 	}
+	plan.body = bk
 
 	if !s.admit(w, r) {
 		return
@@ -390,12 +445,51 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// serveBodyHit answers a byte-identical /v1/diff repeat from cache entry
+// e. The request passes admission, the in-flight gauge and the test gate
+// like any other, and counts as a source-level hit does; then it writes
+// the entry's hit encoding, made here first if no body-level hit has
+// made it yet.
+func (s *Server) serveBodyHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, hitJSON []byte) {
+	if !s.admit(w, r) {
+		return
+	}
+	defer s.core.Release()
+	s.met.InFlight.Add(1)
+	defer s.met.InFlight.Add(-1)
+	s.waitTestGate()
+
+	start := time.Now()
+	_, csp := obs.StartSpan(r.Context(), "cache")
+	endCacheSpan(csp, "source", true)
+	s.countHit(e.resp.Stats, start)
+	if hitJSON == nil {
+		hitJSON = encodeHit(e.resp)
+		s.cache.setHitJSON(e, hitJSON)
+	}
+	writeEncoded(w, http.StatusOK, hitJSON)
+}
+
+// encodeHit encodes resp as a cache hit, byte for byte as writeJSON
+// writes it: json.Marshal escapes HTML as an Encoder does, and Encode
+// ends the value with a newline. It returns nil if resp does not
+// encode, which writes the empty body writeJSON leaves then.
+func encodeHit(resp DiffResponse) []byte {
+	resp.Cached = true
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
 // executeDiff runs the validated plan through the full pipeline —
 // source-key cache lookup, parse, content-key cache lookup, match,
 // generate, render — and returns either the response or the shared
-// failure envelope. A byte-identical repeat is answered before the
-// parse, a content-equal one after it. The caller must already hold a
-// worker slot; metric accounting (phase latencies, node volumes,
+// failure envelope. A repeat of byte-identical documents is answered
+// before the parse, a content-equal one after it; either way, and on a
+// store, the entry learns the plan's body key. The caller must already
+// hold a worker slot; metric accounting (phase latencies, node volumes,
 // diffs/degraded counters) happens here, identically for every consumer.
 func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse, *ItemError) {
 	req, output, matcher := plan.req, plan.output, plan.matcher
@@ -416,7 +510,7 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	if s.cache != nil {
 		src = sourceKey{digest: sourceDigest(req.Old, req.New), opts: opts}
 		_, csp := obs.StartSpan(ctx, "cache")
-		hit, ok := s.cache.getSource(src)
+		hit, ok := s.cache.getSource(src, plan.body)
 		endCacheSpan(csp, "source", ok)
 		if ok {
 			return s.cacheHit(hit, start), nil
@@ -464,7 +558,7 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 			opts:  opts,
 		}
 		_, csp := obs.StartSpan(ctx, "cache")
-		hit, ok := s.cache.get(ckey, src)
+		hit, ok := s.cache.get(ckey, src, plan.body)
 		endCacheSpan(csp, "content", ok)
 		if ok {
 			return s.cacheHit(hit, start), nil
@@ -573,23 +667,30 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	// reflects this moment's budget pressure, not the documents, and
 	// must not be replayed to later requests.
 	if s.cache != nil && !resp.Degraded {
-		s.cache.put(ckey, src, resp)
+		s.cache.put(ckey, src, plan.body, resp)
 	}
 	s.met.Diffs.Add(1)
 	s.met.RequestLatency.Observe(time.Since(start))
 	return &resp, nil
 }
 
-// cacheHit finishes a request answered from the diff cache at either
+// cacheHit finishes a request answered from the diff cache at the
+// source or content level.
+func (s *Server) cacheHit(resp DiffResponse, start time.Time) *DiffResponse {
+	s.countHit(resp.Stats, start)
+	resp.Cached = true
+	return &resp
+}
+
+// countHit accounts a request answered from the diff cache at any
 // level. The node volumes come from the cached Stats — the same counts
 // a parse of this request would have added.
-func (s *Server) cacheHit(resp DiffResponse, start time.Time) *DiffResponse {
-	resp.Cached = true
-	s.met.OldNodes.Add(int64(resp.Stats.OldNodes))
-	s.met.NewNodes.Add(int64(resp.Stats.NewNodes))
+func (s *Server) countHit(st DiffStats, start time.Time) {
+	s.met.CacheHits.Add(1)
+	s.met.OldNodes.Add(int64(st.OldNodes))
+	s.met.NewNodes.Add(int64(st.NewNodes))
 	s.met.Diffs.Add(1)
 	s.met.RequestLatency.Observe(time.Since(start))
-	return &resp
 }
 
 // endCacheSpan records which key a cache lookup tried and its outcome.

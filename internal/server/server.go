@@ -71,10 +71,11 @@ type Config struct {
 	PruneIdentical bool
 	// DiffCacheEntries bounds the LRU cache of diff responses, in
 	// entries: a repeat of a (content, options) pair the cache still
-	// holds is served without re-running the pipeline, and a
-	// byte-identical repeat without parsing either. Each entry is
-	// indexed by a source key and a content key but counts once. 0 (the
-	// default) disables caching entirely.
+	// holds is served without re-running the pipeline, a repeat of
+	// byte-identical documents without parsing either, and a
+	// byte-identical /v1/diff body without decoding it. Each entry is
+	// indexed by a body key, a source key and a content key but counts
+	// once. 0 (the default) disables caching entirely.
 	DiffCacheEntries int
 	// Store enables the versioned-document endpoints (/v1/docs/...):
 	// ingest, version listing, checkout, version diff, and SSE change
@@ -195,9 +196,9 @@ type Server struct {
 	core *sched.Core
 	met  *Metrics
 	log  *slog.Logger
-	// cache is the diff LRU, looked up by source bytes before the parse
-	// and by content fingerprints after it; nil when
-	// Config.DiffCacheEntries is 0.
+	// cache is the diff LRU, looked up by /v1/diff body bytes before
+	// the decode, by source bytes before the parse and by content
+	// fingerprints after it; nil when Config.DiffCacheEntries is 0.
 	cache *diffCache
 	// jobs is the async-job store behind /v1/jobs; nil only before New
 	// finishes.

@@ -46,9 +46,10 @@ func (e *LimitError) Unwrap() error { return lderr.ErrLimit }
 // *LimitError, which the parser's deferred CatchLimit converts back
 // into an error return.
 type parseGuard struct {
-	lim    Limits
-	nodes  int
-	depths map[*Node]int
+	lim   Limits
+	nodes int
+	// depths holds each created node's depth, indexed by its NodeID.
+	depths []int32
 }
 
 // Restrict installs a parse guard enforcing lim on subsequent node
@@ -60,7 +61,7 @@ func (t *Tree) Restrict(lim Limits) {
 		t.guard = nil
 		return
 	}
-	t.guard = &parseGuard{lim: lim, depths: make(map[*Node]int)}
+	t.guard = &parseGuard{lim: lim}
 }
 
 // Unrestrict removes the parse guard.
@@ -75,8 +76,8 @@ func (g *parseGuard) admit(parent *Node) int {
 		panic(&LimitError{What: "nodes", N: g.nodes, Max: g.lim.MaxNodes})
 	}
 	depth := 1
-	if parent != nil {
-		depth = g.depths[parent] + 1
+	if parent != nil && int(parent.id) < len(g.depths) {
+		depth = int(g.depths[parent.id]) + 1
 	}
 	if g.lim.MaxDepth > 0 && depth > g.lim.MaxDepth {
 		panic(&LimitError{What: "depth", N: depth, Max: g.lim.MaxDepth})
@@ -84,8 +85,14 @@ func (g *parseGuard) admit(parent *Node) int {
 	return depth
 }
 
-// note records a created node's depth for its future children.
-func (g *parseGuard) note(n *Node, depth int) { g.depths[n] = depth }
+// note records a created node's depth for its future children. Parsers
+// create nodes in ID order, so the table grows by one slot per node.
+func (g *parseGuard) note(n *Node, depth int) {
+	for int(n.id) >= len(g.depths) {
+		g.depths = append(g.depths, 0)
+	}
+	g.depths[n.id] = int32(depth)
+}
 
 // CatchLimit is the deferred recovery half of the parse guard: it
 // converts a *LimitError panic into an error return and re-raises
