@@ -167,20 +167,6 @@ func BenchmarkStageFastMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStageFastMatchSequential is BenchmarkStageFastMatch with
-// the parallel rounds disabled (the seed engine's numbers are recorded
-// in BENCH_matching.json).
-func BenchmarkStageFastMatchSequential(b *testing.B) {
-	oldT, newT := mediumPair(b)
-	opts := match.Options{Parallelism: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := match.FastMatch(oldT, newT, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStageSimpleMatch(b *testing.B) {
 	oldT, newT := mediumPair(b)
 	b.ResetTimer()

@@ -319,9 +319,8 @@ func runMatchPerf() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Matching engine: seed baseline vs sequential/parallel FastMatch ==")
-	fmt.Println("   (r1/r2 are the logical Figure 13(b) counters and must not drift")
-	fmt.Println("    across the rows of one pair)")
+	fmt.Println("== Matching engine: seed baseline vs FastMatch ==")
+	fmt.Println("   (r1/r2 are the logical Figure 13(b) counters)")
 	rows := [][]string{}
 	for _, r := range append([]bench.MatchingPerfRun{report.Before}, report.After...) {
 		rows = append(rows, []string{

@@ -43,7 +43,6 @@ func main() {
 	maxNodes := flag.Int("max-nodes", 0, "max nodes per parsed document (0 = 200000)")
 	maxDepth := flag.Int("max-depth", 0, "max depth per parsed document (0 = 10000)")
 	matchBudget := flag.Int64("match-budget", 0, "match work budget per request in §8 work units (0 = unlimited)")
-	parallelism := flag.Int("match-parallelism", 0, "matcher parallelism per request (0 = 1; serve many requests, not one)")
 	engine := flag.String("engine", "", "matching engine for requests that don't name one: fast (default), simple, or zs")
 	prune := flag.Bool("prune", false, "claim fingerprint-identical subtrees wholesale on every diff (per-request opt-in stays available without it)")
 	cacheEntries := flag.Int("cache", 0, "diff cache capacity in entries, looked up by source bytes and by content fingerprints (0 = disabled)")
@@ -138,7 +137,6 @@ func main() {
 		MaxTreeNodes:     *maxNodes,
 		MaxTreeDepth:     *maxDepth,
 		MatchWorkBudget:  *matchBudget,
-		MatchParallelism: *parallelism,
 		DefaultEngine:    *engine,
 		PruneIdentical:   *prune,
 		DiffCacheEntries: *cacheEntries,

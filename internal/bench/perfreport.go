@@ -1,9 +1,8 @@
 // Matching-engine performance evidence: the before/after record behind
 // the BENCH_matching.json artifact. The "after" runs are measured live on
-// the current engine, sequential and parallel; the "before" run is the
-// recorded seed-engine measurement (ancestor-climb common(), no index),
-// kept here because the seed code no longer exists in the tree to be
-// re-run.
+// the current engine; the "before" run is the recorded seed-engine
+// measurement (ancestor-climb common(), no index), kept here because the
+// seed code no longer exists in the tree to be re-run.
 package bench
 
 import (
@@ -25,9 +24,6 @@ type MatchingPerfRun struct {
 	Name   string `json:"name"`
 	Pair   string `json:"pair"`
 	Config string `json:"config"`
-	// Parallelism is the Options.Parallelism the run used; 0 is the
-	// default, GOMAXPROCS.
-	Parallelism int `json:"parallelism"`
 	// NsPerOp is the median wall-clock of one FastMatch call.
 	NsPerOp int64 `json:"ns_per_op"`
 	// Pairs is the size of the returned matching.
@@ -45,7 +41,7 @@ type MatchingPerfReport struct {
 	NumCPU     int               `json:"num_cpu"`
 	Before     MatchingPerfRun   `json:"before"`
 	After      []MatchingPerfRun `json:"after"`
-	// SpeedupX is the seed's ns/op over the sequential run's on the
+	// SpeedupX is the seed's ns/op over the current engine's on the
 	// same document pair.
 	SpeedupX float64 `json:"speedup_x"`
 }
@@ -58,16 +54,15 @@ type MatchingPerfReport struct {
 // charged one check per ancestor-climb step where the current cost model
 // charges one partner lookup plus one containment test per matched leaf.
 var SeedMatchingBaseline = MatchingPerfRun{
-	Name:        "seed",
-	Pair:        docPerfPair,
-	Config:      "pre-index engine: ancestor climbs, unbounded word-LCS, no memo, sequential",
-	Parallelism: 1,
-	NsPerOp:     34_200_000,
-	Pairs:       318,
-	R1:          5547,
-	R2:          4208,
-	Total:       9755,
-	Notes:       "recorded before the performance layer landed; the seed common() no longer exists to re-run",
+	Name:    "seed",
+	Pair:    docPerfPair,
+	Config:  "pre-index engine: ancestor climbs, unbounded word-LCS, no memo, sequential",
+	NsPerOp: 34_200_000,
+	Pairs:   318,
+	R1:      5547,
+	R2:      4208,
+	Total:   9755,
+	Notes:   "recorded before the performance layer landed; the seed common() no longer exists to re-run",
 }
 
 // docPerfPair names the pair matchingPerfPair returns.
@@ -84,14 +79,13 @@ func matchingPerfPair() (oldT, newT *tree.Tree, err error) {
 	return doc, pert.New, nil
 }
 
-// CollectMatchingPerf measures FastMatch and assembles the full report.
-// The document pair runs sequentially and at the default parallelism;
-// its rank groups are singletons, so both take the sequential path. Two
-// gen.MultiLabelPair pairs of 4 labels and the given number of slots,
-// one near-identical (edit 0.05) and one heavily edited (edit 1), run at
-// Parallelism 1 and 2, where the rank rounds do fan out. iters is the
-// number of timed calls per row (the median is reported); values below
-// 3 are raised to 3. Every row must count each leaf compare it executes
+// CollectMatchingPerf measures FastMatch and assembles the full report:
+// one row for the document pair, whose rank groups are singletons, and
+// one for each of two gen.MultiLabelPair pairs of 4 labels and the given
+// number of slots, one near-identical (edit 0.05) and one heavily edited
+// (edit 1), whose rank groups hold several labels. iters is the number
+// of timed calls per row (the median is reported); values below 3 are
+// raised to 3. Every row must count each leaf compare it executes
 // exactly once (EffectiveLeafCompares == LeafCompares), or the
 // collection fails.
 func CollectMatchingPerf(iters, slots int) (*MatchingPerfReport, error) {
@@ -110,14 +104,10 @@ func CollectMatchingPerf(iters, slots int) (*MatchingPerfReport, error) {
 	configs := []struct {
 		name, pair, desc string
 		old, new         *tree.Tree
-		parallelism      int
 	}{
-		{"doc-sequential", docPerfPair, "index + bounded LCS, sequential", docOld, docNew, 1},
-		{"doc-default", docPerfPair, "default parallelism (GOMAXPROCS)", docOld, docNew, 0},
-		{"near-p1", nearPair, "near-identical multi-label, sequential", nearOld, nearNew, 1},
-		{"near-p2", nearPair, "near-identical multi-label, 2 workers", nearOld, nearNew, 2},
-		{"heavy-p1", heavyPair, "heavily edited multi-label, sequential", heavyOld, heavyNew, 1},
-		{"heavy-p2", heavyPair, "heavily edited multi-label, 2 workers", heavyOld, heavyNew, 2},
+		{"doc", docPerfPair, "index + bounded LCS", docOld, docNew},
+		{"near", nearPair, "near-identical multi-label", nearOld, nearNew},
+		{"heavy", heavyPair, "heavily edited multi-label", heavyOld, heavyNew},
 	}
 	report := &MatchingPerfReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -125,16 +115,16 @@ func CollectMatchingPerf(iters, slots int) (*MatchingPerfReport, error) {
 		Before:     SeedMatchingBaseline,
 	}
 	for _, cfg := range configs {
-		run := MatchingPerfRun{Name: cfg.name, Pair: cfg.pair, Config: cfg.desc, Parallelism: cfg.parallelism}
+		run := MatchingPerfRun{Name: cfg.name, Pair: cfg.pair, Config: cfg.desc}
 		// Warm-up run, not timed (builds tree indexes).
-		if _, err := match.FastMatch(cfg.old, cfg.new, match.Options{Parallelism: cfg.parallelism}); err != nil {
+		if _, err := match.FastMatch(cfg.old, cfg.new, match.Options{}); err != nil {
 			return nil, fmt.Errorf("bench: matchperf %s: %w", cfg.name, err)
 		}
 		times := make([]int64, iters)
 		for i := range times {
 			stats := &match.Stats{}
 			start := time.Now()
-			m, err := match.FastMatch(cfg.old, cfg.new, match.Options{Parallelism: cfg.parallelism, Stats: stats})
+			m, err := match.FastMatch(cfg.old, cfg.new, match.Options{Stats: stats})
 			times[i] = time.Since(start).Nanoseconds()
 			if err != nil {
 				return nil, fmt.Errorf("bench: matchperf %s: %w", cfg.name, err)

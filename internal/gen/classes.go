@@ -164,8 +164,7 @@ func rightComb(values []string) *tree.Tree {
 // root over slots internal nodes of 2–5 leaves each, the internal labels
 // drawn from labels names (i0, i1, …) and the leaf labels from labels
 // more (l0, l1, …). Every bottom-up rank but the root's then holds
-// several labels, so the matcher's rank rounds can run in parallel; the
-// document schema has one label per rank and never does. edit scales
+// several labels; the document schema has one label per rank. edit scales
 // the new side's edits: at 1 it rewrites one word in 25% of the leaves,
 // replaces 10% and deletes 5%, then moves a leaf between random slots
 // slots/3 times and swaps slots/10 pairs of slots; at 0 the new side is

@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ladiff/internal/compare"
 	"ladiff/internal/lderr"
+	"ladiff/internal/obs"
 	"ladiff/internal/tree"
 )
 
@@ -70,11 +69,6 @@ type Options struct {
 	// Stats, when non-nil, accumulates the work counters of the §8
 	// empirical study.
 	Stats *Stats
-	// Parallelism bounds the worker pool used to process independent
-	// same-rank label rounds concurrently. 0 means runtime.GOMAXPROCS(0);
-	// 1 forces fully sequential rounds. Results and every Stats counter
-	// are bit-identical at every setting; only wall-clock varies.
-	Parallelism int
 	// Ctx, when non-nil, bounds the run: the matchers poll it between
 	// label rounds and periodically inside the pairing loops (every
 	// ctxPollStride equality evaluations), and return ctx.Err() wrapped
@@ -86,11 +80,9 @@ type Options struct {
 	// cost-model units (r1 + r2: leaf compares plus partner checks).
 	// Exhausting the budget aborts the run with an lderr.ErrDegraded-
 	// tagged error, which callers use to fall back to a cheaper matcher
-	// (core.Diff retries with FastMatch). The budget is shared across the
-	// parallel workers of a run, so the trip point under Parallelism > 1
-	// may land a few comparisons earlier or later than sequentially; a
-	// run that completes within budget is still bit-identical at every
-	// parallelism setting.
+	// (core.Diff retries with FastMatch). The trip point is
+	// deterministic: a given pair and budget always stop at the same
+	// comparison, with the same Stats.
 	WorkBudget int64
 }
 
@@ -108,12 +100,6 @@ func (o Options) withDefaults() (Options, error) {
 	if !(0.5 <= o.InternalThreshold && o.InternalThreshold <= 1) {
 		return o, fmt.Errorf("match: internal threshold t=%v outside [0.5,1]", o.InternalThreshold)
 	}
-	if o.Parallelism < 0 {
-		return o, fmt.Errorf("match: negative parallelism %d", o.Parallelism)
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if o.Stats == nil {
 		o.Stats = &Stats{}
 	}
@@ -127,8 +113,7 @@ func (o Options) withDefaults() (Options, error) {
 //
 // r1 and r2 count *logical* comparisons — what the algorithms of Figures
 // 10–11 perform — so Figure 13(b) regeneration is independent of the
-// engine's shortcuts. Every counter is identical across sequential and
-// parallel runs.
+// engine's shortcuts.
 type Stats struct {
 	// LeafCompares is r1: how many times the compare function logically
 	// ran (leaf-pair and empty-container value comparisons).
@@ -157,16 +142,6 @@ type Stats struct {
 	PruneVerifyNodes int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.LeafCompares += other.LeafCompares
-	s.PartnerChecks += other.PartnerChecks
-	s.EffectiveLeafCompares += other.EffectiveLeafCompares
-	s.PrunedSubtrees += other.PrunedSubtrees
-	s.PrunedPairs += other.PrunedPairs
-	s.PruneVerifyNodes += other.PruneVerifyNodes
-}
-
 // Total returns r1 + r2, the comparison count reported in Figure 13(b).
 func (s *Stats) Total() int64 { return s.LeafCompares + s.PartnerChecks }
 
@@ -175,14 +150,11 @@ type matcher struct {
 	t1, t2     *tree.Tree
 	idx1, idx2 *tree.Index
 	opts       Options
-	// m is the matching under construction. In a parallel fork it is a
-	// view sharing the parent's tables (see parallel.go).
+	// m is the matching under construction.
 	m *Matching
 	// toks1/toks2 cache compare.Tokenize(value) per node per tree,
 	// indexed by node ID and sized by the tree's IDBound; the token path
-	// runs only when Options.Compare is nil. Parallel forks share them,
-	// though Within fills words in place: both nodes of a compare have
-	// one label, and one fork owns every node of its label.
+	// runs only when Options.Compare is nil.
 	toks1, toks2 []*compare.Tokens
 	// ctxPolls counts equality evaluations since the run started; every
 	// ctxPollStride-th one consults Options.Ctx. err latches the first
@@ -190,10 +162,10 @@ type matcher struct {
 	// immediately, so the enclosing loops unwind fast.
 	ctxPolls int64
 	err      error
-	// budget is the remaining work budget in r1+r2 units, shared across
-	// the run's parallel forks; nil when Options.WorkBudget is unset.
-	// Going negative latches errBudget into err.
-	budget *atomic.Int64
+	// budget is the remaining work budget in r1+r2 units when
+	// Options.WorkBudget is set. Going negative latches errBudget into
+	// err.
+	budget int64
 }
 
 // ctxPollStride is how many equality evaluations elapse between context
@@ -241,25 +213,26 @@ func (mr *matcher) checkCtxNow() bool {
 // cheaper matcher" from cancellation.
 var errBudget = lderr.Degraded(errors.New("match: work budget exhausted"))
 
-// charge debits n work units from the shared budget, latching errBudget
-// when it runs out. No-op for unbudgeted runs.
+// charge debits n work units from the budget, latching errBudget when
+// it runs out. No-op for unbudgeted runs.
 func (mr *matcher) charge(n int64) {
-	if mr.budget == nil {
+	if mr.opts.WorkBudget <= 0 {
 		return
 	}
-	if mr.budget.Add(-n) < 0 && mr.err == nil {
+	mr.budget -= n
+	if mr.budget < 0 && mr.err == nil {
 		mr.err = errBudget
 	}
 }
 
 // runErr converts a latched abort into the error the public matchers
-// return: budget exhaustion and recovered worker panics pass through
-// (already taxonomy-tagged), cancellation is wrapped and tagged.
+// return: budget exhaustion passes through (already taxonomy-tagged),
+// cancellation is wrapped and tagged.
 func (mr *matcher) runErr() error {
 	switch {
 	case mr.err == nil:
 		return nil
-	case errors.Is(mr.err, lderr.ErrDegraded) || errors.Is(mr.err, lderr.ErrInternal):
+	case mr.err == errBudget:
 		return mr.err
 	default:
 		return lderr.Canceled(fmt.Errorf("match: cancelled: %w", mr.err))
@@ -278,14 +251,11 @@ func newMatcher(t1, t2 *tree.Tree, opts Options) (*matcher, error) {
 		t1: t1, t2: t2,
 		idx1: t1.Index(), idx2: t2.Index(),
 		opts: opts, m: NewMatching(),
+		budget: opts.WorkBudget,
 	}
 	if opts.Compare == nil {
 		mr.toks1 = make([]*compare.Tokens, t1.IDBound())
 		mr.toks2 = make([]*compare.Tokens, t2.IDBound())
-	}
-	if opts.WorkBudget > 0 {
-		mr.budget = &atomic.Int64{}
-		mr.budget.Store(opts.WorkBudget)
 	}
 	return mr, nil
 }
@@ -425,8 +395,8 @@ func (mr *matcher) equal(x, y *tree.Node) bool {
 // the bottom-up label order both Match and FastMatch require: under the
 // acyclic-labels condition (§5.1) it is a topological order of the label
 // schema, so children's labels are processed before their ancestors' and
-// |common| is meaningful when internal nodes are compared. The grouping
-// exposes the rank rounds to the parallel scheduler (see parallel.go).
+// |common| is meaningful when internal nodes are compared. rounds traces
+// one span per group.
 func labelRankGroups(t1, t2 *tree.Tree) [][]tree.Label {
 	rank := make(map[tree.Label]int)
 	collect := func(t *tree.Tree) {
@@ -470,6 +440,33 @@ func labelRankGroups(t1, t2 *tree.Tree) [][]tree.Label {
 		}
 	}
 	return groups
+}
+
+// rounds applies process to every label of both trees, one label at a
+// time in bottom-up rank order. A cancelled context (Options.Ctx) stops
+// the schedule at the next label boundary; the in-flight round unwinds
+// through the refusing equality checks.
+func (mr *matcher) rounds(process func(*matcher, tree.Label)) {
+	for rank, group := range labelRankGroups(mr.t1, mr.t2) {
+		if mr.checkCtxNow() {
+			return
+		}
+		// One span per rank (coarse: never per node, so the disabled
+		// path pays one atomic load per rank). The span is passive —
+		// attributes describe the rank, nothing reads them back — so
+		// traced and untraced runs match bit for bit.
+		_, sp := obs.StartSpan(mr.opts.Ctx, "round")
+		sp.Int("rank", int64(rank))
+		sp.Int("labels", int64(len(group)))
+		for _, label := range group {
+			if mr.checkCtxNow() {
+				sp.End()
+				return
+			}
+			process(mr, label)
+		}
+		sp.End()
+	}
 }
 
 // CheckAcyclicLabels verifies the acyclic-labels condition of §5.1: there

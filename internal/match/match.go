@@ -16,9 +16,7 @@ import (
 // When Matching Criterion 3 holds and the label schema is acyclic, the
 // candidate order is irrelevant: at most one candidate is equal (Lemma
 // C.3), so the result is the unique maximal matching of Theorem 5.2.
-// Running time is O(n²c + mn) (Appendix B). Independent labels of equal
-// bottom-up rank are processed concurrently under Options.Parallelism;
-// the result is bit-identical to the sequential run (see parallel.go).
+// Running time is O(n²c + mn) (Appendix B).
 func Match(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -32,9 +30,8 @@ func Match(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The tables are sized once, to both trees' bounds: every Add writes
-	// in place, and the parallel rounds' workers, which share the
-	// tables, never reallocate one.
+	// The tables are sized once, to both trees' bounds, so every Add
+	// writes in place.
 	mr.m.reserve(t1.IDBound(), t2.IDBound())
 	if mr.opts.Key != nil {
 		if err := mr.matchByKeys(mr.opts.Key); err != nil {
@@ -86,8 +83,6 @@ func (mr *matcher) matchChainsQuadratic(s1, s2 []*tree.Node) {
 // the criteria's equality, which matches all nodes that appear in the same
 // relative order in one O(ND) pass; only the leftovers fall through to the
 // quadratic pairing. Running time is O((ne+e²)c + 2lne) (Appendix B).
-// Independent labels of equal bottom-up rank are processed concurrently
-// under Options.Parallelism, bit-identically to the sequential run.
 //
 // When Matching Criterion 3 holds and the label schema is acyclic,
 // FastMatch and Match return identical matchings (Theorem 5.2). When

@@ -139,7 +139,7 @@ func TestCustomCompareCalledPerLeafCompare(t *testing.T) {
 			}
 			return compare.WordLCS(a, b)
 		}
-		if _, err := FastMatch(doc, t2, Options{Compare: cmp, Stats: stats, Parallelism: 1}); err != nil {
+		if _, err := FastMatch(doc, t2, Options{Compare: cmp, Stats: stats}); err != nil {
 			t.Fatal(err)
 		}
 		if calls != stats.LeafCompares || identical == 0 {

@@ -29,7 +29,7 @@ func handDocument() *tree.Tree {
 // inspect afterwards.
 func runFast(t *testing.T, t1, t2 *tree.Tree) *matcher {
 	t.Helper()
-	mr, err := newMatcher(t1, t2, Options{Parallelism: 1})
+	mr, err := newMatcher(t1, t2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

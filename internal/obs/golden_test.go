@@ -46,7 +46,6 @@ func fixedTraceSnapshot() TraceSnapshot {
 					Attrs: []Attr{
 						{Key: "r1_leaf_compares", Value: int64(557)},
 						{Key: "r2_partner_checks", Value: int64(431)},
-						{Key: "memo_hits", Value: int64(96)},
 						{Key: "pairs", Value: int64(48)},
 					},
 					Spans: []SpanSnapshot{
@@ -56,7 +55,6 @@ func fixedTraceSnapshot() TraceSnapshot {
 							Attrs: []Attr{
 								{Key: "rank", Value: int64(0)},
 								{Key: "labels", Value: int64(2)},
-								{Key: "mode", Value: "sequential"},
 							},
 						},
 						{
@@ -65,7 +63,6 @@ func fixedTraceSnapshot() TraceSnapshot {
 							Attrs: []Attr{
 								{Key: "rank", Value: int64(1)},
 								{Key: "labels", Value: int64(1)},
-								{Key: "mode", Value: "sequential"},
 							},
 						},
 					},

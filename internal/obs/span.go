@@ -16,8 +16,9 @@ type Attr struct {
 }
 
 // Span is one timed region of a traced run. Spans form a tree under a
-// Trace's root; children may be appended concurrently (parallel match
-// rounds), so the child list and attributes are mutex-guarded. Spans
+// Trace's root; children may be appended concurrently (a batch
+// request's items run on several goroutines under one trace), so the
+// child list and attributes are mutex-guarded. Spans
 // are never on a hot path — one is created per engine phase or per
 // label rank round, not per node.
 //

@@ -589,12 +589,7 @@ func TestDiffCacheBodyHitAdmission(t *testing.T) {
 	}
 	// The gate may only be installed once no handler is left to read it.
 	waitFor(t, "first request retired", func() bool { return s.Metrics().InFlight.Load() == 0 })
-	gate := make(chan struct{})
-	s.testGate = gate
-	// Open the gate on every exit, so a failure before it opens leaves
-	// no handler parked for the test server's Close to wait on.
-	open := sync.OnceFunc(func() { close(gate) })
-	defer open()
+	open := installGate(t, s)
 
 	results := make(chan int, 2)
 	post := func() {

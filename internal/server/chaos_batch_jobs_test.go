@@ -195,7 +195,8 @@ func TestChaosBatchJobStorm(t *testing.T) {
 	waitFor(t, "storm jobs drained", func() bool {
 		return s.met.Jobs.Queued.Load() == 0 && s.met.Jobs.Running.Load() == 0
 	})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
+	defer openGate()
 	burst := make([]string, 0, 6)
 	for i := 0; i < 6; i++ {
 		var req JobSubmitRequest
@@ -235,7 +236,7 @@ func TestChaosBatchJobStorm(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		close(s.testGate)
+		openGate()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -524,7 +524,8 @@ func TestChaosDegradedGenFallback(t *testing.T) {
 func TestChaosMidRequestDisconnect(t *testing.T) {
 	s, ts, done := chaosServer(t, Config{MaxConcurrent: 2})
 	defer done()
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
+	defer openGate()
 
 	req := DiffRequest{Old: diffPairs["text"][0], New: diffPairs["text"][1], Format: "text"}
 	data, err := json.Marshal(req)
@@ -562,7 +563,7 @@ func TestChaosMidRequestDisconnect(t *testing.T) {
 		return s.Metrics().InFlight.Load()+s.Metrics().Queued.Load() > 0 ||
 			s.Metrics().Requests.Load() >= n
 	})
-	close(s.testGate)
+	openGate()
 	waitFor(t, "handlers unwound", func() bool { return s.Metrics().InFlight.Load() == 0 })
 
 	if got := s.Metrics().Panics.Load(); got != 0 {

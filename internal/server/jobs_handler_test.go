@@ -83,7 +83,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 // immediately; the poll sees "canceled", never a result.
 func TestJobCancelRunningHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
 	var req JobSubmitRequest
 	req.Format = "text"
 	req.Old, req.New = "An original sentence sits here.", "A changed sentence sits here."
@@ -94,7 +94,7 @@ func TestJobCancelRunningHTTP(t *testing.T) {
 	if code != http.StatusOK || canceled.Status != "canceled" {
 		t.Fatalf("cancel = %d %q, want 200 canceled", code, canceled.Status)
 	}
-	close(s.testGate)
+	openGate()
 	waitFor(t, "runner exit", func() bool { return s.met.Jobs.Running.Load() == 0 })
 	if _, cur := jobHTTP(t, ts, http.MethodGet, st.ID); cur.Status != "canceled" || cur.Response != nil {
 		t.Errorf("canceled job polls as %q (response %v), want canceled/nil", cur.Status, cur.Response)
@@ -126,8 +126,7 @@ func TestJobTTLExpiryHTTP(t *testing.T) {
 // 429 jobs_full + Retry-After rather than queueing unboundedly.
 func TestJobStoreFullHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxJobs: 1})
-	s.testGate = make(chan struct{})
-	defer close(s.testGate)
+	installGate(t, s)
 	var req JobSubmitRequest
 	req.Format = "text"
 	req.Old, req.New = "One sentence to diff in place.", "One sentence to diff in place, edited."
@@ -213,7 +212,7 @@ func TestJobWebhookInvalidURL(t *testing.T) {
 // completion webhook entirely — no request, no delivery counter.
 func TestJobCanceledNeverDeliversWebhook(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
 	var hookCalls int
 	var mu sync.Mutex
 	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -232,7 +231,7 @@ func TestJobCanceledNeverDeliversWebhook(t *testing.T) {
 	if code, canceled := jobHTTP(t, ts, http.MethodDelete, st.ID); code != http.StatusOK || canceled.Status != "canceled" {
 		t.Fatalf("cancel = %d %q", code, canceled.Status)
 	}
-	close(s.testGate)
+	openGate()
 
 	// Drain everything that could still deliver, then look.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -252,7 +251,7 @@ func TestJobCanceledNeverDeliversWebhook(t *testing.T) {
 // with the same 504 envelope a synchronous request times out with.
 func TestJobDeadlineFails(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
 	var req JobSubmitRequest
 	req.Format = "text"
 	req.Old, req.New = "Some document text to hold open.", "Some changed document text to hold open."
@@ -260,7 +259,7 @@ func TestJobDeadlineFails(t *testing.T) {
 	st := submitJob(t, ts, req)
 	waitFor(t, "job running", func() bool { return s.met.Jobs.Running.Load() == 1 })
 	time.Sleep(10 * time.Millisecond) // let the 1ms deadline lapse while gated
-	close(s.testGate)
+	openGate()
 
 	var done JobStatus
 	waitFor(t, "job failure", func() bool {

@@ -52,10 +52,6 @@ type Config struct {
 	// budgeted FastMatch exhaustion fails the request as over budget.
 	// 0 means unlimited.
 	MatchWorkBudget int64
-	// MatchParallelism is MatchOptions.Parallelism for every request.
-	// 0 means 1: under concurrent load, parallelism across requests
-	// beats parallelism within one.
-	MatchParallelism int
 	// DefaultEngine is the matching engine used when a request does not
 	// name one in its "matcher" field: "fast", "simple", or "zs".
 	// Empty means "fast". An unknown name is replaced with
@@ -142,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTreeDepth <= 0 {
 		c.MaxTreeDepth = 10_000
-	}
-	if c.MatchParallelism <= 0 {
-		c.MatchParallelism = 1
 	}
 	if _, ok := ladiff.MatcherByName(c.DefaultEngine); !ok {
 		c.DefaultEngine = ""

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,6 +76,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// installGate parks every handler of s after admission until the
+// returned function opens the gate. Install it only while no handler
+// is running: live handlers read s.testGate. The function may be
+// called more than once, and t's cleanup calls it too, so a test that
+// fails before opening the gate still releases the parked handlers
+// before newTestServer's ts.Close waits for them (cleanups run last in,
+// first out). A test that closes its server with defer must also defer
+// the returned function, since deferred calls run before cleanups.
+func installGate(t *testing.T, s *Server) (open func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	s.testGate = gate
+	open = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	return open
 }
 
 // diffPairs is one old/new document pair per supported format, each
@@ -336,7 +354,7 @@ func TestOversizedInput(t *testing.T) {
 // 429 + Retry-After while the first two eventually succeed.
 func TestQueueOverflow(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
 	req := DiffRequest{Old: diffPairs["text"][0], New: diffPairs["text"][1], Format: "text"}
 
 	type result struct {
@@ -371,7 +389,7 @@ func TestQueueOverflow(t *testing.T) {
 	}
 
 	// Open the gate: both blocked requests must complete normally.
-	close(s.testGate)
+	openGate()
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.status != http.StatusOK {
@@ -389,7 +407,7 @@ func TestQueueOverflow(t *testing.T) {
 // never did.
 func TestDeadlineExceeded(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
 	doc := gen.Document(gen.DocParams{Seed: 11, Sections: 20, MinParagraphs: 5, MaxParagraphs: 8, MinSentences: 6, MaxSentences: 10, Vocabulary: 4000})
 	pert, err := gen.Perturb(doc, gen.Mix(13, 80))
 	if err != nil {
@@ -416,7 +434,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	}()
 	waitFor(t, "request in flight", func() bool { return s.Metrics().InFlight.Load() == 1 })
 	time.Sleep(20 * time.Millisecond)
-	close(s.testGate)
+	openGate()
 	r := <-done
 	status, body := r.status, r.body
 	if status != http.StatusGatewayTimeout {
@@ -457,7 +475,8 @@ func TestGracefulDrain(t *testing.T) {
 	s := New(Config{MaxConcurrent: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
+	defer openGate()
 	req := DiffRequest{Old: diffPairs["text"][0], New: diffPairs["text"][1], Format: "text"}
 
 	inflight := make(chan int, 1)
@@ -492,7 +511,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// Release the in-flight request: it completes and Shutdown returns.
-	close(s.testGate)
+	openGate()
 	if status := <-inflight; status != http.StatusOK {
 		t.Errorf("in-flight request: status %d, want 200", status)
 	}
@@ -520,7 +539,8 @@ func TestReadyzDrainOrdering(t *testing.T) {
 	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	s.testGate = make(chan struct{})
+	openGate := installGate(t, s)
+	defer openGate()
 	req := DiffRequest{Old: diffPairs["text"][0], New: diffPairs["text"][1], Format: "text"}
 
 	inflight := make(chan int, 1)
@@ -548,7 +568,7 @@ func TestReadyzDrainOrdering(t *testing.T) {
 
 	// Only now does the admitted request complete — strictly after the
 	// readiness flip was observable.
-	close(s.testGate)
+	openGate()
 	if status := <-inflight; status != http.StatusOK {
 		t.Errorf("in-flight request: status %d, want 200", status)
 	}

@@ -70,10 +70,7 @@ type (
 	// Matching is a partial one-to-one node correspondence (§3.1).
 	Matching = match.Matching
 	// MatchOptions configures the Good Matching criteria (§5) and the
-	// matching engine: Parallelism bounds the worker pool for
-	// independent label rounds (0 means GOMAXPROCS, 1 forces
-	// sequential). The knob is behaviour-preserving — every setting
-	// returns the identical matching.
+	// matching run: comparer, keys, pruning, context and work budget.
 	MatchOptions = match.Options
 	// MatchStats carries the §8 work counters: LeafCompares/
 	// PartnerChecks are the logical r1/r2 of Figure 13(b), invariant
