@@ -159,6 +159,7 @@ func mediumPair(b *testing.B) (*ladiff.Tree, *ladiff.Tree) {
 
 func BenchmarkStageFastMatch(b *testing.B) {
 	oldT, newT := mediumPair(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := match.FastMatch(oldT, newT, match.Options{}); err != nil {
@@ -169,6 +170,7 @@ func BenchmarkStageFastMatch(b *testing.B) {
 
 func BenchmarkStageSimpleMatch(b *testing.B) {
 	oldT, newT := mediumPair(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := match.Match(oldT, newT, match.Options{}); err != nil {
@@ -183,6 +185,7 @@ func BenchmarkStageEditScript(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EditScript(oldT, newT, m); err != nil {
@@ -210,6 +213,7 @@ func wideFlatPair(b *testing.B) (*ladiff.Tree, *ladiff.Tree, *match.Matching) {
 
 func BenchmarkStageEditScriptWideFlat(b *testing.B) {
 	oldT, newT, m := wideFlatPair(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EditScriptWith(oldT, newT, m, core.GenOptions{}); err != nil {
@@ -224,6 +228,7 @@ func BenchmarkStageEditScriptWideFlat(b *testing.B) {
 func BenchmarkStageEditScriptWideFlatScan(b *testing.B) {
 	oldT, newT, m := wideFlatPair(b)
 	opts := core.GenOptions{DisableIndex: true}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EditScriptWith(oldT, newT, m, opts); err != nil {
@@ -234,6 +239,7 @@ func BenchmarkStageEditScriptWideFlatScan(b *testing.B) {
 
 func BenchmarkStageFullPipeline(b *testing.B) {
 	oldT, newT := mediumPair(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ladiff.Diff(oldT, newT, ladiff.Options{}); err != nil {
@@ -248,6 +254,7 @@ func BenchmarkStageDeltaBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ladiff.BuildDelta(res); err != nil {
@@ -263,6 +270,7 @@ func BenchmarkStageZhangShasha(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := zs.UnitDistance(doc, pert.New); err != nil {

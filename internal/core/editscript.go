@@ -347,6 +347,9 @@ type generator struct {
 	script   edit.Script
 	result   *Result
 	nextID   tree.NodeID
+	// s1 and s2 are AlignChildren's S1 and S2, reused from one sibling
+	// group to the next.
+	s1, s2 []*tree.Node
 }
 
 // run executes the combined breadth-first phase and the delete phase.
@@ -558,7 +561,7 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 	}
 	// Step 2: S1 = children of w whose partners are children of x;
 	// S2 = children of x whose partners are children of w.
-	var s1, s2 []*tree.Node
+	s1, s2 := g.s1[:0], g.s2[:0]
 	for _, c := range w.Children() {
 		if pID, ok := g.mm.ToNew(c.ID()); ok {
 			if p := g.new.Node(pID); p != nil && p.Parent() == x {
@@ -573,6 +576,7 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 			}
 		}
 	}
+	g.s1, g.s2 = s1, s2
 	// Steps 3–5: LCS under equal(a,b) ⇔ (a,b) ∈ M'; its pairs stay put.
 	pairs := lcsPairs(s1, s2, func(a, b *tree.Node) bool {
 		g.result.Work.AlignEquals++

@@ -226,54 +226,58 @@ func (b *builder) buildPair(x, y *tree.Node) *Node {
 
 // mergeChildren produces y's delta children interleaved with tombstones
 // for children of x that were deleted or moved away, positioned after
-// their nearest stable left sibling.
+// their nearest stable left sibling. When x leaves no tombstone, the
+// delta children are y's, as they are.
 func (b *builder) mergeChildren(x, y *tree.Node) []*Node {
 	newKids := make([]*Node, len(y.Children()))
 	for i, c := range y.Children() {
 		newKids[i] = b.buildNew(c)
-	}
-	// after[i] collects tombstones to place after newKids[i]; prefix
-	// collects those with no stable left anchor.
-	after := make([][]*Node, len(newKids))
-	var prefix []*Node
-	for i, c := range y.Children() {
 		b.newIndex[c.ID()] = i
 	}
+	// after[i] collects tombstones to place after newKids[i], allocated
+	// at the first tombstone with a stable left anchor; prefix collects
+	// those with none.
+	var after [][]*Node
+	var prefix []*Node
+	tombs := 0
 	anchor := -1
 	for _, c := range x.Children() {
-		partnerID, matched := b.m.ToNew(c.ID())
-		if matched {
-			partner := b.newT.Node(partnerID)
-			if partner.Parent() == y && !b.res.MovedOld[c.ID()] {
-				// Stable: its content node is newKids[idx]; advance anchor.
-				anchor = b.newIndex[partnerID]
-				continue
-			}
+		var tomb *Node
+		if partnerID, matched := b.m.ToNew(c.ID()); !matched {
+			// Unmatched: deleted subtree tombstone.
+			tomb = b.deletedTombstone(c)
+		} else if b.newT.Node(partnerID).Parent() == y && !b.res.MovedOld[c.ID()] {
+			// Stable: its content node is newKids[idx]; advance anchor.
+			anchor = b.newIndex[partnerID]
+			continue
+		} else {
 			// Moved away (inter-parent) or reordered (intra-parent):
 			// leave a MoveSource tombstone at the old position.
-			src, _ := b.ref(c.ID())
-			src.Label, src.Value = c.Label(), c.Value()
-			b.place(src, anchor, after, &prefix)
+			tomb, _ = b.ref(c.ID())
+			tomb.Label, tomb.Value = c.Label(), c.Value()
+		}
+		tombs++
+		if anchor < 0 {
+			prefix = append(prefix, tomb)
 			continue
 		}
-		// Unmatched: deleted subtree tombstone.
-		b.place(b.deletedTombstone(c), anchor, after, &prefix)
+		if after == nil {
+			after = make([][]*Node, len(newKids))
+		}
+		after[anchor] = append(after[anchor], tomb)
 	}
-	out := make([]*Node, 0, len(newKids)+len(prefix))
+	if tombs == 0 {
+		return newKids
+	}
+	out := make([]*Node, 0, len(newKids)+tombs)
 	out = append(out, prefix...)
 	for i, k := range newKids {
 		out = append(out, k)
-		out = append(out, after[i]...)
+		if after != nil {
+			out = append(out, after[i]...)
+		}
 	}
 	return out
-}
-
-func (b *builder) place(n *Node, anchor int, after [][]*Node, prefix *[]*Node) {
-	if anchor < 0 {
-		*prefix = append(*prefix, n)
-		return
-	}
-	after[anchor] = append(after[anchor], n)
 }
 
 // deletedTombstone builds the tombstone subtree for an unmatched old

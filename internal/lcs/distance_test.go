@@ -6,7 +6,7 @@ import (
 )
 
 // referenceDistance computes D = n + m − 2·|LCS| with the quadratic DP.
-func referenceDistance(a, b []byte) int {
+func referenceDistance[T comparable](a, b []T) int {
 	eq := func(i, j int) bool { return a[i] == b[j] }
 	return len(a) + len(b) - 2*len(IndicesDP(len(a), len(b), eq))
 }

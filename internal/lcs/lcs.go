@@ -10,6 +10,8 @@
 // N.
 package lcs
 
+import "math"
+
 // Pair couples an element of the first sequence with the element of the
 // second sequence it was matched to, in the order defined in §4.2: the
 // firsts form a subsequence of S1, the seconds a subsequence of S2, and
@@ -113,49 +115,77 @@ func DistanceWithin(n, m, maxD int, equal func(i, j int) bool) (int, bool) {
 	return 0, false
 }
 
+// traceStackSlots is the size of Indices' stack segment: rounds 0–21
+// fill 22² = 484 of its int32 slots.
+const traceStackSlots = 512
+
+// traceSegment is one heap segment of Indices' trace: round d's window
+// starts at win[d² − lo²].
+type traceSegment struct {
+	lo  int // the first round the segment holds
+	win []int32
+}
+
 // Indices computes an LCS of the index ranges [0,n) and [0,m) under the
 // positional equality predicate, returning matched index pairs in
 // increasing order. It runs Myers' greedy algorithm in O((n+m)·D) time
-// and O(D²) space, where D = n + m − 2·|LCS|.
+// and O(D²) space, where D = n + m − 2·|LCS|. It panics if n or m is
+// 2³¹ or more: the trace stores positions as int32.
 func Indices(n, m int, equal func(i, j int) bool) []IndexPair {
+	if uint64(n) > math.MaxInt32 || uint64(m) > math.MaxInt32 {
+		panic("lcs: Indices needs n, m < 2^31 (the trace stores positions as int32)")
+	}
 	if n == 0 || m == 0 {
 		return nil
 	}
 	// Round d reads, for each diagonal k ∈ [-d, d], the furthest x reached
-	// on k±1 by round d−1. trace keeps one snapshot per round of that
-	// active window as it stood entering the round (round d−1 wrote at
-	// most diagonals ±(d−1), and the backtrack for round d reads only
+	// on k±1 by round d−1. The trace keeps one window per round of those
+	// values as they stood entering the round (round d−1 wrote at most
+	// diagonals ±(d−1), and the backtrack for round d reads only
 	// diagonals within ±d), so total trace space is O(D²) instead of the
-	// O(D·(n+m)) a full-array snapshot per round would cost. The
-	// snapshots share one flat slice: rounds 0..d−1 hold 1+3+…+(2d−1) =
-	// d² slots, so round d's window starts at offset d², diagonal k at
-	// d²+k+d. Round d works in place on the next window, [-d−1, d+1],
-	// seeded with its own: when the round ends that window is round
-	// d+1's snapshot, so no separate diagonal array is kept. Small
-	// searches stay in the stack array.
-	var stack [256]int
-	trace := stack[:1] // round 0's window: x = 0 on diagonal 0
+	// O(D·(n+m)) a full-array snapshot per round would cost. Round d's
+	// window holds 2d+1 slots, diagonal k at slot k+d. Round d works in
+	// place on the next window, seeded with its own: when the round ends
+	// that window is round d+1's, so no separate diagonal array is kept.
+	//
+	// The windows live in segments that are never grown or copied. The
+	// stack array holds rounds 0–21 (22² slots), so a search with D ≤ 20
+	// allocates only its result. Each later segment is twice the size of
+	// the one before, and the segment that starts at round lo holds round
+	// d at slot d² − lo².
+	var stack [traceStackSlots]int32
+	var heapSegs [8]traceSegment
+	segs := heapSegs[:0]
+	win, lo := stack[:], 0 // the segment holding round d's window
+	at := 0                // round d's window starts at win[at], at = d² − lo²
 	dFinal := -1
 outer:
 	for d := 0; d <= n+m; d++ {
-		trace = append(trace, 0)
-		trace = append(trace, trace[d*d:d*d+2*d+1]...)
-		trace = append(trace, 0)
-		v := trace[(d+1)*(d+1):]
+		prev := win[at : at+2*d+1]
+		at += 2*d + 1
+		if at+2*d+3 > len(win) {
+			seg := make([]int32, 2*len(win))
+			segs = append(segs, traceSegment{lo: d + 1, win: seg})
+			win, lo, at = seg, d+1, 0
+		}
+		// The edge slots (diagonals ±(d+1)) stay zero: round d does not
+		// read them, and the backtrack never reads a window's edges.
+		v := win[at : at+2*d+3]
+		copy(v[1:], prev)
 		off := d + 1 // v[k+off] is the furthest x on diagonal k
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[k-1+off] < v[k+1+off]) {
-				x = v[k+1+off] // move down (insert from b)
+				x = int(v[k+1+off]) // move down (insert from b)
 			} else {
-				x = v[k-1+off] + 1 // move right (delete from a)
+				x = int(v[k-1+off]) + 1 // move right (delete from a)
 			}
 			y := x - k
 			for x < n && y < m && equal(x, y) {
 				x++
 				y++
 			}
-			v[k+off] = x
+			v[k+off] = int32(x)
 			if x >= n && y >= m {
 				dFinal = d
 				break outer
@@ -167,14 +197,21 @@ outer:
 		panic("lcs: Myers search did not terminate")
 	}
 
-	// Backtrack through the per-round snapshots, collecting the diagonal
+	// Backtrack through the per-round windows, collecting the diagonal
 	// (snake) steps, which are exactly the LCS matches, last first. Round
-	// d's snapshot holds the values round d read, indexed by k+d for
+	// d's window holds the values round d read, indexed by k+d for
 	// diagonal k ∈ [-d, d]. The LCS has (n+m−D)/2 pairs.
 	rev := make([]IndexPair, 0, (n+m-dFinal)/2)
 	x, y := n, m
 	for d := dFinal; d > 0; d-- {
-		prev := trace[d*d : d*d+2*d+1]
+		if d < lo { // round d lives in the segment before
+			segs = segs[:len(segs)-1]
+			win, lo = stack[:], 0
+			if len(segs) > 0 {
+				win, lo = segs[len(segs)-1].win, segs[len(segs)-1].lo
+			}
+		}
+		prev := win[d*d-lo*lo : d*d-lo*lo+2*d+1]
 		k := x - y
 		var prevK int
 		if k == -d || (k != d && prev[k-1+d] < prev[k+1+d]) {
@@ -182,7 +219,7 @@ outer:
 		} else {
 			prevK = k - 1 // reached via a right-move (element of a skipped)
 		}
-		prevX := prev[prevK+d]
+		prevX := int(prev[prevK+d])
 		prevY := prevX - prevK
 		// Position immediately after round d's single non-diagonal step:
 		var sx, sy int

@@ -43,9 +43,30 @@ func (t *Tree) Index() *Index {
 }
 
 func buildIndex(t *Tree) *Index {
+	// A first pass counts the leaves and each label's nodes, so the leaf
+	// sequence and the chains are carved from one backing array at their
+	// exact sizes. Each has len == cap once filled: none grows by append,
+	// and appending to one cannot write into another.
+	counts := make(map[Label]int)
+	leaves := 0
+	for _, n := range t.nodes {
+		if n != nil {
+			counts[n.label]++
+			if n.IsLeaf() {
+				leaves++
+			}
+		}
+	}
+	back := make([]*Node, leaves+t.live)
 	idx := &Index{
 		spans:  make([]nodeSpan, len(t.nodes)),
-		chains: make(map[Label][]*Node),
+		leaves: back[:0:leaves],
+		chains: make(map[Label][]*Node, len(counts)),
+	}
+	back = back[leaves:]
+	for label, c := range counts {
+		idx.chains[label] = back[:0:c]
+		back = back[c:]
 	}
 	var clock int32
 	var rec func(n *Node)

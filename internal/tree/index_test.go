@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,5 +159,41 @@ func TestIndexRandomTrees(t *testing.T) {
 				t.Fatalf("trial %d: NumLeaves(%v) mismatch", trial, n)
 			}
 		}
+	}
+}
+
+// TestIndexChainsIndependent checks that the chains and the leaf
+// sequence, which share one backing array, are carved at their exact
+// sizes: every chain has len == cap, and appending to a chain or to the
+// whole leaf sequence leaves every other chain as it was.
+func TestIndexChainsIndependent(t *testing.T) {
+	tr := buildSampleTree(t)
+	ix := tr.Index()
+	labels := tr.Labels()
+	want := make(map[Label][]*Node)
+	for _, l := range labels {
+		want[l] = slices.Clone(ix.Chain(l))
+	}
+	wantLeaves := slices.Clone(ix.LeavesUnder(tr.Root()))
+	extra := &Node{id: 999, label: "intruder"}
+	for _, l := range labels {
+		c := ix.Chain(l)
+		if len(c) != cap(c) {
+			t.Errorf("Chain(%q): len %d, cap %d", l, len(c), cap(c))
+		}
+		_ = append(c, extra)
+	}
+	all := ix.LeavesUnder(tr.Root())
+	if len(all) != cap(all) {
+		t.Errorf("leaf sequence: len %d, cap %d", len(all), cap(all))
+	}
+	_ = append(all, extra)
+	for _, l := range labels {
+		if got := ix.Chain(l); !slices.Equal(got, want[l]) {
+			t.Errorf("Chain(%q) = %v after appends, want %v", l, got, want[l])
+		}
+	}
+	if got := ix.LeavesUnder(tr.Root()); !slices.Equal(got, wantLeaves) {
+		t.Errorf("leaf sequence = %v after appends, want %v", got, wantLeaves)
 	}
 }
