@@ -283,6 +283,7 @@ func BenchmarkLatexParse(b *testing.B) {
 	doc := gen.Document(bench.Sets()[0].Params)
 	src := ladiff.RenderLatexPlain(doc)
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ladiff.ParseLatex(src); err != nil {

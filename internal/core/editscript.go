@@ -578,20 +578,20 @@ func (g *generator) alignChildren(w, x *tree.Node) error {
 	}
 	g.s1, g.s2 = s1, s2
 	// Steps 3–5: LCS under equal(a,b) ⇔ (a,b) ∈ M'; its pairs stay put.
-	pairs := lcsPairs(s1, s2, func(a, b *tree.Node) bool {
+	pairs := lcs.Indices(len(s1), len(s2), func(i, j int) bool {
 		g.result.Work.AlignEquals++
 		g.result.Work.EffectiveAlignEquals++
-		return g.mm.Has(a.ID(), b.ID())
+		return g.mm.Has(s1[i].ID(), s2[j].ID())
 	})
 	for _, p := range pairs {
-		g.markInOrder(p.b)
+		g.markInOrder(s2[p.B])
 	}
 	// Step 6: move every matched pair not in the LCS into place,
 	// left-to-right over x's children so FindPos anchors are in place.
-	// The pairs' b sides are a subsequence of s2, in order, so one walk
-	// in step with them tells which children the LCS holds.
-	for _, b := range s2 {
-		if len(pairs) > 0 && pairs[0].b == b {
+	// The pairs' B sides are increasing indices into s2, so one walk in
+	// step with them tells which children the LCS holds.
+	for j, b := range s2 {
+		if len(pairs) > 0 && pairs[0].B == j {
 			pairs = pairs[1:]
 			continue
 		}
@@ -724,18 +724,4 @@ func (g *generator) findPosScan(x *tree.Node) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: in-order partner %v not found among its parent's children", u)
-}
-
-// lcsPair couples aligned children during alignChildren.
-type lcsPair struct{ a, b *tree.Node }
-
-// lcsPairs adapts the Myers LCS (the same O(ND) routine AlignChildren is
-// specified to use, §4.2) to child slices.
-func lcsPairs(s1, s2 []*tree.Node, equal func(a, b *tree.Node) bool) []lcsPair {
-	idx := lcs.Indices(len(s1), len(s2), func(i, j int) bool { return equal(s1[i], s2[j]) })
-	out := make([]lcsPair, len(idx))
-	for i, p := range idx {
-		out[i] = lcsPair{a: s1[p.A], b: s2[p.B]}
-	}
-	return out
 }

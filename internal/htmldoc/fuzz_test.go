@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"ladiff/internal/htmldoc"
+	"ladiff/internal/latex/latextest"
 	"ladiff/internal/tree"
 )
 
 // FuzzParse feeds arbitrary input to the HTML parser: it must never
-// panic, and accepted inputs must yield valid trees that survive a
-// render/re-parse round trip.
+// panic, accepted inputs must yield valid trees that survive a
+// render/re-parse round trip, and the tree, IDs included, must equal the
+// one built with the reference splitter, which joins each paragraph's
+// text runs and splits the joined text.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -33,14 +36,28 @@ func FuzzParse(f *testing.F) {
 		"<p>Fish &amp; chips.&nbsp;Salt&nbsp;&amp;&nbsp;vinegar.</p>",
 		"<p>Tabs\tand\nnew\r\nlines.<br>After the break.<br/>Last one</p>",
 		"<p>Before. <i> \t\n </i>After.</p>",
+		// A sentence spanning two runs or two lines, CRLF, a lone \r and
+		// whitespace-only lines.
+		"<p>One sentence <b>spans</b> two runs. Next.</p>",
+		"<p>A sentence on\ntwo lines.\nAnother one.</p>",
+		"<p>Carriage\r\nreturn line feed.\r\n\r\nSame paragraph.</p>",
+		"<p>Lone\rcarriage return.\rNext.</p>",
+		"<ul><li>Item \n \t \n\u3000\n text.</li></ul>\n   \n<p> \n </p>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		doc, err := htmldoc.Parse(src)
+		ref, refErr := htmldoc.ParseWithSplitter(src, tree.Limits{}, latextest.AppendSentences)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("error %v, reference error %v\ninput: %q", err, refErr, src)
+		}
 		if err != nil {
 			return
+		}
+		if got, want := doc.String(), ref.String(); got != want {
+			t.Fatalf("tree differs from the reference splitter's\ninput: %q\ngot:\n%s\nwant:\n%s", src, got, want)
 		}
 		if err := doc.Validate(); err != nil {
 			t.Fatalf("accepted tree invalid: %v\ninput: %q", err, src)

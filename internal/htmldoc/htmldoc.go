@@ -35,7 +35,13 @@ func Parse(src string) (*tree.Tree, error) {
 // built: MaxBytes against the raw input up front, MaxNodes/MaxDepth at
 // the first node past the limit. Errors are tagged for the lderr
 // taxonomy: syntax failures as ErrParse, limit violations as ErrLimit.
-func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
+func ParseLimited(src string, lim tree.Limits) (*tree.Tree, error) {
+	return parse(src, lim, latex.AppendSentences)
+}
+
+// parse is ParseLimited with its sentence splitter passed in, so tests
+// can run the same parser over a reference splitter.
+func parse(src string, lim tree.Limits, split func(dst, pieces []string) []string) (_ *tree.Tree, err error) {
 	defer func() { err = lderr.TagAs(lderr.ErrParse, err) }()
 	if err := fault.Check(fault.ParseHTML); err != nil {
 		return nil, err
@@ -48,7 +54,7 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 	t.Restrict(lim)
 	defer t.Unrestrict()
 	t.SetRoot(gen.LabelDocument, "")
-	p := &parser{t: t}
+	p := &parser{t: t, split: split}
 	if err := p.run(src); err != nil {
 		return nil, err
 	}
@@ -63,7 +69,9 @@ type parser struct {
 	list       *tree.Node
 	listDepth  int
 	item       *tree.Node
-	textBuf    []string
+	textBuf    []string                            // the current paragraph's decoded text runs
+	sentences  []string                            // the flushed paragraph's sentences, reused by every flush
+	split      func(dst, pieces []string) []string // the sentence splitter, latex.AppendSentences
 	// pendingHeading, when non-empty, collects text inside <h1>/<h2>.
 	inHeading string
 	headBuf   []string
@@ -226,8 +234,8 @@ func (p *parser) text(s string) {
 		p.headBuf = append(p.headBuf, strings.Fields(s)...)
 		return
 	}
-	// The whole run is kept: flushText joins the runs with spaces, so a
-	// tag still ends a word, and SplitSentences normalizes whitespace.
+	// The whole run is kept: the splitter reads the runs as pieces joined
+	// by spaces, so a tag still ends a word, and it normalizes whitespace.
 	p.textBuf = append(p.textBuf, s)
 }
 
@@ -235,19 +243,16 @@ func (p *parser) flushText() {
 	if len(p.textBuf) == 0 {
 		return
 	}
-	text := strings.Join(p.textBuf, " ")
-	p.textBuf = nil
-	sentences := latex.SplitSentences(text)
-	if len(sentences) == 0 {
+	p.sentences = p.split(p.sentences[:0], p.textBuf)
+	p.textBuf = p.textBuf[:0]
+	if len(p.sentences) == 0 {
 		return
 	}
 	parent := p.container()
 	if p.item == nil {
 		parent = p.t.AppendChild(parent, gen.LabelParagraph, "")
 	}
-	for _, s := range sentences {
-		p.t.AppendChild(parent, gen.LabelSentence, s)
-	}
+	p.t.AppendChildren(parent, gen.LabelSentence, p.sentences)
 }
 
 func (p *parser) closeList() {

@@ -12,44 +12,18 @@ package lcs
 
 import "math"
 
-// Pair couples an element of the first sequence with the element of the
-// second sequence it was matched to, in the order defined in §4.2: the
-// firsts form a subsequence of S1, the seconds a subsequence of S2, and
-// equal(first, second) holds for every pair.
-type Pair[A, B any] struct {
-	First  A
-	Second B
-}
-
 // IndexPair records positions of one matched pair: A is an index into the
 // first sequence, B into the second.
 type IndexPair struct {
 	A, B int
 }
 
-// Pairs returns an LCS of a and b under equal, as matched element pairs.
-func Pairs[A, B any](a []A, b []B, equal func(A, B) bool) []Pair[A, B] {
-	idx := Indices(len(a), len(b), func(i, j int) bool { return equal(a[i], b[j]) })
-	out := make([]Pair[A, B], len(idx))
-	for i, p := range idx {
-		out[i] = Pair[A, B]{First: a[p.A], Second: b[p.B]}
-	}
-	return out
-}
-
-// Length returns the length of an LCS of a and b under equal. It runs
-// the forward pass only — no trace, no backtracking — so it allocates
-// O(n+m) and is the right call when the matched pairs themselves are not
-// needed (e.g. the word-LCS distance of the sentence comparer, which the
-// matcher invokes thousands of times per run).
-func Length[A, B any](a []A, b []B, equal func(A, B) bool) int {
-	return LengthIndices(len(a), len(b), func(i, j int) bool { return equal(a[i], b[j]) })
-}
-
 // LengthIndices is the forward-only counterpart of Indices: it returns
 // just the LCS length of the index ranges [0,n) and [0,m) under the
 // positional equality predicate. Myers' relation D = n + m − 2·|LCS|
-// recovers the length from the first round that reaches (n,m).
+// recovers the length from the first round that reaches (n,m). It keeps
+// no trace and does no backtracking, so it allocates O(n+m) at most: the
+// call for when the pairs themselves are not needed.
 func LengthIndices(n, m int, equal func(i, j int) bool) int {
 	d, ok := DistanceWithin(n, m, n+m, equal)
 	if !ok {
@@ -286,11 +260,4 @@ func IndicesDP(n, m int, equal func(i, j int) bool) []IndexPair {
 		}
 	}
 	return out
-}
-
-// LengthStrings returns the LCS length of two string slices under ==, a
-// convenience used by the word-level sentence comparer (§7). It uses the
-// forward-only pass of LengthIndices.
-func LengthStrings(a, b []string) int {
-	return LengthIndices(len(a), len(b), func(i, j int) bool { return a[i] == b[j] })
 }

@@ -7,18 +7,15 @@ import (
 	"testing/quick"
 )
 
-func runesOf(s string) []string { return strings.Split(s, "") }
-
-func lcsOf(a, b string) []Pair[string, string] {
-	return Pairs(runesOf(a), runesOf(b), func(x, y string) bool { return x == y })
-}
-
-func joinFirsts(pairs []Pair[string, string]) string {
+// lcsOf returns an LCS of the bytes of a and b, as its common string
+// and its index pairs.
+func lcsOf(a, b string) (string, []IndexPair) {
+	pairs := Indices(len(a), len(b), func(i, j int) bool { return a[i] == b[j] })
 	var sb strings.Builder
 	for _, p := range pairs {
-		sb.WriteString(p.First)
+		sb.WriteByte(a[p.A])
 	}
-	return sb.String()
+	return sb.String(), pairs
 }
 
 func TestKnownLCS(t *testing.T) {
@@ -39,9 +36,9 @@ func TestKnownLCS(t *testing.T) {
 		{"ab", "ba", 1},
 	}
 	for _, c := range cases {
-		got := lcsOf(c.a, c.b)
+		common, got := lcsOf(c.a, c.b)
 		if len(got) != c.want {
-			t.Errorf("LCS(%q,%q) length = %d (%q), want %d", c.a, c.b, len(got), joinFirsts(got), c.want)
+			t.Errorf("LCS(%q,%q) length = %d (%q), want %d", c.a, c.b, len(got), common, c.want)
 		}
 	}
 }
@@ -122,17 +119,17 @@ func TestQuickMyersProperties(t *testing.T) {
 func TestLengthAndPairsAgree(t *testing.T) {
 	a := strings.Fields("the quick brown fox jumps over the lazy dog")
 	b := strings.Fields("the brown dog jumps over the quick fox")
-	eq := func(x, y string) bool { return x == y }
-	if got, want := Length(a, b, eq), len(Pairs(a, b, eq)); got != want {
-		t.Fatalf("Length = %d, Pairs = %d", got, want)
+	eq := func(i, j int) bool { return a[i] == b[j] }
+	if got, want := LengthIndices(len(a), len(b), eq), len(Indices(len(a), len(b), eq)); got != want {
+		t.Fatalf("LengthIndices = %d, Indices = %d pairs", got, want)
 	}
 }
 
 func TestLengthStrings(t *testing.T) {
 	a := strings.Fields("a b c d")
 	b := strings.Fields("b c d e")
-	if got := LengthStrings(a, b); got != 3 {
-		t.Fatalf("LengthStrings = %d, want 3", got)
+	if got := LengthIndices(len(a), len(b), func(i, j int) bool { return a[i] == b[j] }); got != 3 {
+		t.Fatalf("LengthIndices = %d, want 3", got)
 	}
 }
 
@@ -141,9 +138,8 @@ func TestCustomEqualityPredicate(t *testing.T) {
 	// matching. Here: equality modulo case.
 	a := []string{"Alpha", "beta", "GAMMA"}
 	b := []string{"alpha", "BETA", "delta"}
-	eq := func(x, y string) bool { return strings.EqualFold(x, y) }
-	got := Pairs(a, b, eq)
-	if len(got) != 2 || got[0].First != "Alpha" || got[1].Second != "BETA" {
+	got := Indices(len(a), len(b), func(i, j int) bool { return strings.EqualFold(a[i], b[j]) })
+	if len(got) != 2 || a[got[0].A] != "Alpha" || b[got[1].B] != "BETA" {
 		t.Fatalf("case-insensitive LCS = %v", got)
 	}
 }

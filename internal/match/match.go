@@ -123,7 +123,8 @@ func FastMatch(t1, t2 *tree.Tree, opts Options) (_ *Matching, err error) {
 func (mr *matcher) matchLabelFast(label tree.Label) {
 	s1 := mr.pruneResidue(mr.idx1.Chain(label), mr.matchedOld)
 	s2 := mr.pruneResidue(mr.idx2.Chain(label), mr.matchedNew)
-	pairs := lcs.Pairs(s1, s2, func(x, y *tree.Node) bool {
+	pairs := lcs.Indices(len(s1), len(s2), func(i, j int) bool {
+		x, y := s1[i], s2[j]
 		// Nodes matched by a previous label pass (impossible for a
 		// homogeneous-label schema, but chains can revisit nodes when
 		// labels repeat across levels) must not be re-matched.
@@ -133,7 +134,7 @@ func (mr *matcher) matchLabelFast(label tree.Label) {
 		return mr.equal(x, y)
 	})
 	for _, p := range pairs {
-		mr.add(p.First, p.Second)
+		mr.add(s1[p.A], s2[p.B])
 	}
 	mr.matchChainsQuadratic(s1, s2)
 }

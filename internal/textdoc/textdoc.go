@@ -46,14 +46,24 @@ func ParseLimited(src string, lim tree.Limits) (_ *tree.Tree, err error) {
 	t.Restrict(lim)
 	defer t.Unrestrict()
 	t.SetRoot(gen.LabelDocument, "")
-	for _, block := range strings.Split(normalizeNewlines(src), "\n\n") {
-		sentences := latex.SplitSentences(block)
-		if len(sentences) == 0 {
-			continue
+	// A block is a run of lines that are not blank (whitespace only), and
+	// its lines are the splitter's pieces. The '\r' of a CRLF needs no
+	// rewriting: it is whitespace, which the splitter drops.
+	var lines, sentences []string
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if strings.TrimSpace(line) != "" {
+			lines = append(lines, line)
+			if more {
+				continue
+			}
 		}
-		para := t.AppendChild(t.Root(), gen.LabelParagraph, "")
-		for _, s := range sentences {
-			t.AppendChild(para, gen.LabelSentence, s)
+		sentences = latex.AppendSentences(sentences[:0], lines)
+		lines = lines[:0]
+		if len(sentences) > 0 {
+			para := t.AppendChild(t.Root(), gen.LabelParagraph, "")
+			t.AppendChildren(para, gen.LabelSentence, sentences)
 		}
 	}
 	return t, nil
@@ -90,23 +100,4 @@ func Render(t *tree.Tree) string {
 		rec(t.Root())
 	}
 	return strings.TrimRight(b.String(), "\n") + "\n"
-}
-
-func normalizeNewlines(s string) string {
-	s = strings.ReplaceAll(s, "\r\n", "\n")
-	// Collapse blocks separated by lines of pure whitespace.
-	var out []string
-	blank := true
-	for _, line := range strings.Split(s, "\n") {
-		if strings.TrimSpace(line) == "" {
-			if !blank {
-				out = append(out, "")
-			}
-			blank = true
-			continue
-		}
-		blank = false
-		out = append(out, line)
-	}
-	return strings.Join(out, "\n")
 }

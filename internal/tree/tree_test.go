@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -511,5 +512,80 @@ func TestQuickRandomEditsKeepValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// buildAppended builds a tree whose sentences go in through AppendChildren
+// when batch is set and through one AppendChild per value otherwise,
+// under lim and with a live position index (one list built before the
+// appends, one built lazily). A limit trip returns the partial tree.
+func buildAppended(batch bool, lim Limits) (tr *Tree, err error) {
+	defer CatchLimit(&err)
+	tr = New()
+	tr.Restrict(lim)
+	defer tr.Unrestrict()
+	sec := tr.AppendChild(tr.SetRoot("doc", ""), "section", "s")
+	ix := tr.Positions()
+	ix.Rank(tr.AppendChild(sec, "sentence", "before"))
+	para := tr.AppendChild(sec, "paragraph", "")
+	add := func(parent *Node, values ...string) {
+		if batch {
+			tr.AppendChildren(parent, "sentence", values)
+			return
+		}
+		for _, v := range values {
+			tr.AppendChild(parent, "sentence", v)
+		}
+	}
+	add(para, "one", "two", "three")
+	add(sec, "four", "five")
+	add(para)
+	add(para, "six")
+	add(tr.AppendChild(para, "item", ""), "seven", "eight")
+	return tr, nil
+}
+
+// TestAppendChildrenMatchesAppendChild: a batch append builds the tree an
+// AppendChild loop builds (IDs, order, parents, a valid tree and position
+// index), and a parse guard trips at the same node with the same error.
+func TestAppendChildrenMatchesAppendChild(t *testing.T) {
+	batch, err := buildAppended(true, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, _ := buildAppended(false, Limits{})
+	if !Identical(batch, loop) || batch.String() != loop.String() {
+		t.Fatalf("batch tree\n%s\nloop tree\n%s", batch, loop)
+	}
+	if err := batch.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ix := batch.Positions()
+	for _, n := range batch.PreOrder() {
+		if p := loop.Node(n.ID()).Parent(); (p == nil) != n.IsRoot() || p != nil && p.ID() != n.Parent().ID() {
+			t.Fatalf("%v: parent differs from the loop's", n)
+		}
+		if got, want := ix.Rank(n), n.ChildIndex(); got != want {
+			t.Fatalf("Rank(%v) = %d, ChildIndex = %d", n, got, want)
+		}
+	}
+	if err := ix.validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	limits := []Limits{{MaxDepth: 3}, {MaxDepth: 4}}
+	for n := 1; n <= batch.Len(); n++ {
+		limits = append(limits, Limits{MaxNodes: n})
+	}
+	for _, lim := range limits {
+		b, berr := buildAppended(true, lim)
+		l, lerr := buildAppended(false, lim)
+		if lim.MaxNodes < batch.Len() && berr == nil {
+			t.Fatalf("%+v: batch append built past the limit", lim)
+		}
+		if fmt.Sprint(berr) != fmt.Sprint(lerr) || b.Len() != l.Len() || b.IDBound() != l.IDBound() {
+			t.Fatalf("%+v: batch stopped at %d nodes (bound %d) with %v; loop at %d (bound %d) with %v",
+				lim, b.Len(), b.IDBound(), berr, l.Len(), l.IDBound(), lerr)
+		}
 	}
 }
