@@ -20,7 +20,7 @@ var textRunCases = []string{
 }
 
 // TestTextRunsMatchWordReference: the parser buffers whole text runs and
-// leaves whitespace to SplitSentences. The sentences must equal those of
+// leaves whitespace to latex.AppendSentences. The sentences must equal those of
 // a reference that first splits each decoded run into words with
 // strings.Fields, then joins the words and splits the sentences.
 func TestTextRunsMatchWordReference(t *testing.T) {
@@ -37,7 +37,7 @@ func TestTextRunsMatchWordReference(t *testing.T) {
 		for _, run := range textRuns(body) {
 			words = append(words, strings.Fields(decodeEntities(run))...)
 		}
-		if want := latex.SplitSentences(strings.Join(words, " ")); !slices.Equal(got, want) {
+		if want := latex.AppendSentences(nil, []string{strings.Join(words, " ")}); !slices.Equal(got, want) {
 			t.Errorf("%q: sentences %q, reference %q", body, got, want)
 		}
 	}

@@ -162,9 +162,9 @@ func TestSplitSentences(t *testing.T) {
 		{"", 0},
 	}
 	for _, c := range cases {
-		got := latex.SplitSentences(c.in)
+		got := latex.AppendSentences(nil, []string{c.in})
 		if len(got) != c.want {
-			t.Errorf("SplitSentences(%q) = %d sentences %v, want %d", c.in, len(got), got, c.want)
+			t.Errorf("AppendSentences(%q) = %d sentences %v, want %d", c.in, len(got), got, c.want)
 		}
 	}
 }
