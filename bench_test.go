@@ -279,9 +279,23 @@ func BenchmarkStageZhangShasha(b *testing.B) {
 	}
 }
 
+// BenchmarkLatexParse parses a generated document shaped like
+// perfbench's lib-latex corpus: every sentence ends with a period, so
+// each line of a paragraph is one sentence and the parse yields the
+// document's own nodes.
 func BenchmarkLatexParse(b *testing.B) {
 	doc := gen.Document(bench.Sets()[0].Params)
+	for _, n := range doc.Chain(gen.LabelSentence) {
+		doc.SetValue(n, n.Value()+".")
+	}
 	src := ladiff.RenderLatexPlain(doc)
+	parsed, err := ladiff.ParseLatex(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if parsed.Len() != doc.Len() {
+		b.Fatalf("parse yields %d nodes, want the document's %d", parsed.Len(), doc.Len())
+	}
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -45,7 +45,7 @@ func main() {
 	matchBudget := flag.Int64("match-budget", 0, "match work budget per request in §8 work units (0 = unlimited)")
 	engine := flag.String("engine", "", "matching engine for requests that don't name one: fast (default), simple, or zs")
 	prune := flag.Bool("prune", false, "claim fingerprint-identical subtrees wholesale on every diff (per-request opt-in stays available without it)")
-	cacheEntries := flag.Int("cache", 0, "diff cache capacity in entries, looked up by source bytes and by content fingerprints (0 = disabled)")
+	cacheEntries := flag.Int("cache", 0, "diff cache capacity in entries, looked up by the SHA-256 of the request body and of the source bytes (0 = disabled)")
 	maxBatchItems := flag.Int("max-batch-items", 0, "max items per /v1/diff/batch request (0 = 64)")
 	maxBatchBytes := flag.Int64("max-batch-bytes", 0, "max aggregate document bytes per batch (0 = max-body)")
 	maxJobs := flag.Int("max-jobs", 0, "max async jobs resident in the job store before 429 (0 = 256)")

@@ -15,8 +15,11 @@
 // The implementation matches the reference FNV-128a algorithm
 // (stdlib hash/fnv New128a) byte for byte; a unit test pins that
 // equivalence, so fingerprints are stable across processes, platforms,
-// and releases — the property the serving tier's diff cache keys rely
-// on.
+// and releases — the property the version store's log relies on when a
+// replay checks each version against the fingerprint it recorded, and
+// that keeps `ladiff -hash` output comparable between runs. No cache is
+// keyed by a fingerprint: the serving tier's diff cache is keyed by
+// SHA-256 digests of request bytes.
 package fingerprint
 
 import (

@@ -9,31 +9,17 @@ import (
 	"ladiff"
 )
 
-// cacheKey identifies a cached diff by content, not by request bytes:
-// the Merkle root fingerprints of the two parsed documents plus every
-// request option that can change the response. It is the entry's
-// identity and the last lookup level: a request whose source text
-// differs from a cached one only in ways the parser normalizes away
-// (whitespace, say) misses the source key but still hits here. A hit
-// is safe to replay because parsing is deterministic: identical tree
-// content always gets identical node IDs, so the cached script's ID
-// references are valid against any content-equal parse.
-type cacheKey struct {
-	oldFP, newFP ladiff.Fingerprint
-	opts         cacheOpts
-}
-
 // sourceKey identifies a request by its source bytes: the SHA-256 of
-// both documents (see sourceDigest) plus the same options digest. It
-// is checked before anything is parsed: the first lookup level of batch
-// items and jobs, and the next after the body key on /v1/diff. The
-// same bytes under the same options parse to the same trees under the
-// server's fixed limits, and only sources that parsed within those
-// limits are ever stored, so a source hit may skip the parse. SHA-256
-// rather than a cheaper non-cryptographic hash, so a crafted pair
-// cannot alias another request's entry; a digest rather than the
-// sources themselves, so an entry costs 32 bytes of key at any
-// document size.
+// both documents (see sourceDigest) plus the options digest. It is
+// each entry's identity, and it is checked before anything is parsed:
+// the first lookup level of batch items and jobs, and the next after
+// the body key on /v1/diff. The same bytes under the same options
+// parse to the same trees under the server's fixed limits, and only
+// sources that parsed within those limits are ever stored, so a source
+// hit may skip the parse. SHA-256 rather than a cheaper
+// non-cryptographic hash, so a crafted pair cannot alias another
+// request's entry; a digest rather than the sources themselves, so an
+// entry costs 32 bytes of key at any document size.
 type sourceKey struct {
 	digest [sha256.Size]byte
 	opts   cacheOpts
@@ -48,9 +34,9 @@ type sourceKey struct {
 // which the cache never indexes.
 type bodyKey [sha256.Size]byte
 
-// cacheOpts is the options digest of the key: a comparable struct of
-// the exact fields that influence the response, so distinct option
-// sets can never alias (a hashed digest could, in principle).
+// cacheOpts is the options digest of the source key: a comparable
+// struct of the exact fields that influence the response, so distinct
+// option sets can never alias (a hashed digest could, in principle).
 type cacheOpts struct {
 	format, output                   string
 	matcher                          ladiff.Matcher
@@ -79,21 +65,20 @@ func sourceDigest(old, new string) [sha256.Size]byte {
 	return sum
 }
 
-// diffCache is the LRU of rendered diff responses — the serving-layer
-// tier of the fingerprint ladder. It is one cache with three indexes:
-// each entry lives under its content key, under one source key and
-// under at most one body key, the latest of each that reached it, so
-// the capacity counts entries, not keys. Only successful, non-degraded
-// responses are stored (a degraded result reflects the budget pressure
-// of its moment, not the documents). Miss and eviction counters land in
-// the server Metrics for /metrics, and the server counts each hit once
-// the request holds a slot (cacheHit); a request counts one hit or one
-// miss, whichever level answers it.
+// diffCache is the LRU of rendered diff responses. It is one cache
+// with two indexes: each entry lives under its source key, its
+// identity, and under at most one body key, the latest that reached
+// it, so the capacity counts entries, not keys. Every lookup is by a
+// SHA-256 of request bytes, never by a fingerprint of parsed content.
+// Only successful, non-degraded responses are stored (a degraded result
+// reflects the budget pressure of its moment, not the documents). Miss
+// and eviction counters land in the server Metrics for /metrics, and
+// the server counts each hit once the request holds a slot (countHit);
+// a request counts one hit or one miss, whichever level answers it.
 type diffCache struct {
 	mu       sync.Mutex
 	max      int
 	lru      *list.List // front = most recently used; values are *cacheEntry
-	byKey    map[cacheKey]*list.Element
 	bySource map[sourceKey]*list.Element
 	byBody   map[bodyKey]*list.Element
 	met      *Metrics
@@ -103,7 +88,6 @@ type diffCache struct {
 // that replaces the response installs a new entry, so an encoding made
 // outside the lock can only ever be stored on the entry it encodes.
 type cacheEntry struct {
-	key  cacheKey
 	src  sourceKey
 	body bodyKey // zero until a /v1/diff request reaches the entry
 	resp DiffResponse
@@ -118,7 +102,6 @@ func newDiffCache(max int, met *Metrics) *diffCache {
 	return &diffCache{
 		max:      max,
 		lru:      list.New(),
-		byKey:    make(map[cacheKey]*list.Element),
 		bySource: make(map[sourceKey]*list.Element),
 		byBody:   make(map[bodyKey]*list.Element),
 		met:      met,
@@ -129,7 +112,8 @@ func newDiffCache(max int, met *Metrics) *diffCache {
 // and its hit encoding, nil until the entry's first body-level hit. It
 // refreshes the entry's recency but counts nothing: the request has
 // yet to pass admission, and one refused there is neither a hit nor a
-// miss. A miss goes on to decode the body, and a later level counts it.
+// miss. A miss goes on to decode the body, and the source level counts
+// it.
 func (c *diffCache) getBody(bk bodyKey) (*cacheEntry, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -153,85 +137,60 @@ func (c *diffCache) setHitJSON(e *cacheEntry, b []byte) {
 	}
 }
 
-// getSource returns the response stored for byte-identical sources,
-// and makes bk the entry's body key. A miss is not counted: the request
-// goes on to parse and get, which counts its outcome.
+// getSource returns the response stored for byte-identical sources by
+// value, and makes bk the entry's body key; the caller may set flags
+// (Cached) on its copy. The interior Script/Delta allocations are
+// shared across hits and are never mutated after store. A miss is
+// counted here, before the request parses.
 func (c *diffCache) getSource(src sourceKey, bk bodyKey) (DiffResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.bySource[src]
 	if !ok {
-		return DiffResponse{}, false
-	}
-	c.learn(el, src, bk)
-	return c.hit(el), true
-}
-
-// get returns the response stored for content key k. A hit re-points
-// the entry's source and body keys to src and bk, the request that
-// just reached it.
-func (c *diffCache) get(k cacheKey, src sourceKey, bk bodyKey) (DiffResponse, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
-	if !ok {
 		c.met.CacheMisses.Add(1)
 		return DiffResponse{}, false
 	}
-	c.learn(el, src, bk)
-	return c.hit(el), true
-}
-
-// hit refreshes el's recency and returns its response by value; the
-// caller may set flags (Cached) on its copy. The interior Script/Delta
-// allocations are shared across hits and are never mutated after store.
-func (c *diffCache) hit(el *list.Element) DiffResponse {
+	c.learn(el, bk)
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).resp
+	return el.Value.(*cacheEntry).resp, true
 }
 
-// learn makes src the source key of el's entry, and bk its body key
-// unless bk is zero (a batch item or job, which leaves the body key as
-// it is), dropping the keys they replace.
-func (c *diffCache) learn(el *list.Element, src sourceKey, bk bodyKey) {
+// learn makes bk the body key of el's entry, dropping the one it
+// replaces, unless bk is zero (a batch item or job, which leaves the
+// body key as it is).
+func (c *diffCache) learn(el *list.Element, bk bodyKey) {
+	if bk == (bodyKey{}) {
+		return
+	}
 	e := el.Value.(*cacheEntry)
-	if e.src != src {
-		delete(c.bySource, e.src)
-		e.src = src
+	if e.body != bk {
+		delete(c.byBody, e.body)
+		e.body = bk
 	}
-	c.bySource[src] = el
-	if bk != (bodyKey{}) {
-		if e.body != bk {
-			delete(c.byBody, e.body)
-			e.body = bk
-		}
-		c.byBody[bk] = el
-	}
+	c.byBody[bk] = el
 }
 
-// put stores resp under its keys, evicting the least-recently-used
-// entry, and all its keys, when the cache is full. A put over a stored
-// content key replaces that entry, whose source key, body key and
-// encoding go with it.
-func (c *diffCache) put(k cacheKey, src sourceKey, bk bodyKey, resp DiffResponse) {
+// put stores resp under src and bk, evicting the least-recently-used
+// entry, and both its keys, when the cache is full. A put over a
+// stored source key (two concurrent misses of one pair) replaces that
+// entry, whose body key and encoding go with it.
+func (c *diffCache) put(src sourceKey, bk bodyKey, resp DiffResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := &cacheEntry{key: k, src: src, resp: resp}
-	if el, ok := c.byKey[k]; ok {
+	e := &cacheEntry{src: src, resp: resp}
+	if el, ok := c.bySource[src]; ok {
 		old := el.Value.(*cacheEntry)
-		delete(c.bySource, old.src)
 		delete(c.byBody, old.body)
 		el.Value = e
-		c.learn(el, src, bk)
+		c.learn(el, bk)
 		c.lru.MoveToFront(el)
 		return
 	}
 	el := c.lru.PushFront(e)
-	c.byKey[k] = el
-	c.learn(el, src, bk)
+	c.bySource[src] = el
+	c.learn(el, bk)
 	if c.lru.Len() > c.max {
 		oldest := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-		delete(c.byKey, oldest.key)
 		delete(c.bySource, oldest.src)
 		delete(c.byBody, oldest.body)
 		c.met.CacheEvictions.Add(1)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"ladiff"
 	"ladiff/internal/fault"
 	"ladiff/internal/obs"
 )
@@ -34,44 +36,69 @@ func diffOnce(t *testing.T, ts *httptest.Server, body DiffRequest) DiffResponse 
 	return resp
 }
 
+// answer is what a diff response says about its documents: the
+// script, delta or marked document and the Stats counts, as JSON,
+// without the timings and the Cached flag.
+func answer(t *testing.T, resp DiffResponse) string {
+	t.Helper()
+	resp.Cached = false
+	resp.Stats.PhaseMicros = nil
+	b, err := json.Marshal(resp)
+	if err != nil {
+		t.Error(err)
+	}
+	return string(b)
+}
+
 // TestDiffCacheHit: the second identical request is served from the
-// cache — same script, Cached flag set, hit counter bumped — and a
-// request whose source differs only in parser-normalized whitespace
-// hits the same entry (the key is content, not bytes).
+// cache — the same answer with the Cached flag set, no parse, a hit
+// counted. A request whose old document differs only in whitespace
+// the text parser normalizes parses to the same trees but repeats no
+// bytes: it misses, parses once more and computes the same script,
+// delta or marked document, without the Cached flag; its own repeat is
+// a hit. No response is served on an equality of parsed content.
 func TestDiffCacheHit(t *testing.T) {
-	s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
-	req := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"}
-
-	first := diffOnce(t, ts, req)
-	if first.Cached {
-		t.Fatal("first request claims to be cached")
+	if ladiff.ParseText(cacheOld).String() != ladiff.ParseText(cacheOldSpaced).String() {
+		t.Fatal("the whitespace variant parses to another tree")
 	}
-	second := diffOnce(t, ts, req)
-	if !second.Cached {
-		t.Fatal("repeat request was not served from cache")
-	}
-	if len(second.Script) != len(first.Script) {
-		t.Fatalf("cached script has %d ops, original %d", len(second.Script), len(first.Script))
-	}
-	for i := range first.Script {
-		if first.Script[i] != second.Script[i] {
-			t.Fatalf("cached op %d differs: %v vs %v", i, first.Script[i], second.Script[i])
+	for _, output := range []string{"script", "delta", "marked"} {
+		s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
+		req := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text", Output: output}
+		spaced := req
+		spaced.Old = cacheOldSpaced
+		var want string
+		for i, step := range []struct {
+			name   string
+			req    DiffRequest
+			cached bool
+			parses int64
+		}{
+			{"first", req, false, 1},
+			{"repeat", req, true, 1},
+			{"whitespace variant", spaced, false, 2},
+			{"whitespace variant repeat", spaced, true, 2},
+		} {
+			resp := diffOnce(t, ts, step.req)
+			if i == 0 {
+				want = answer(t, resp)
+			}
+			if resp.Cached != step.cached {
+				t.Errorf("%s: %s: cached = %v, want %v", output, step.name, resp.Cached, step.cached)
+			}
+			if got := s.Metrics().Snapshot().PhaseUS["parse"].Count; got != step.parses {
+				t.Errorf("%s: %s: phase_us.parse.count = %d, want %d", output, step.name, got, step.parses)
+			}
+			if got := answer(t, resp); got != want {
+				t.Errorf("%s: %s answered\n%s\nwant\n%s", output, step.name, got, want)
+			}
 		}
-	}
-
-	// Same content modulo whitespace the text parser normalizes away.
-	req.Old = "First sentence here.   Second sentence here.\n\nAnother paragraph entirely.\n"
-	third := diffOnce(t, ts, req)
-	if !third.Cached {
-		t.Error("whitespace-normalized repeat missed the cache")
-	}
-
-	m := s.Metrics().Snapshot()
-	if m.Cache.Hits != 2 || m.Cache.Misses != 1 {
-		t.Errorf("cache traffic = %d hits / %d misses, want 2/1", m.Cache.Hits, m.Cache.Misses)
-	}
-	if m.Cache.Size != 1 || m.Cache.Capacity != 8 {
-		t.Errorf("cache size/capacity = %d/%d, want 1/8", m.Cache.Size, m.Cache.Capacity)
+		m := s.Metrics().Snapshot()
+		if m.Cache.Hits != 2 || m.Cache.Misses != 2 {
+			t.Errorf("%s: cache traffic = %d hits / %d misses, want 2/2", output, m.Cache.Hits, m.Cache.Misses)
+		}
+		if m.Cache.Size != 2 || m.Cache.Capacity != 8 {
+			t.Errorf("%s: cache size/capacity = %d/%d, want 2/8", output, m.Cache.Size, m.Cache.Capacity)
+		}
 	}
 }
 
@@ -194,18 +221,20 @@ func TestDiffPruneServerWide(t *testing.T) {
 }
 
 // cacheOldSpaced is cacheOld with whitespace the text parser normalizes
-// away: a different source key, the same content key.
+// away: the same trees under a different source key.
 const cacheOldSpaced = "First sentence here.   Second sentence here.\n\nAnother paragraph entirely.\n"
 
-// TestDiffCacheSourceHitSkipsParse: a byte-identical repeat is answered
-// by the source key before anything is parsed; a whitespace variant
-// parses once, hits the content key and takes over the entry's source
-// key, so its own repeat skips the parse too. Node volumes and the
-// hit/miss counters account every request exactly as a parse would.
-// Batch items and jobs share the path.
+// TestDiffCacheSourceHitSkipsParse: the same documents in another body
+// are answered by the source key before anything is parsed; a
+// whitespace variant is its own entry, parsed once, after which its
+// repeat skips the parse too. Node volumes and the hit/miss counters
+// account every request exactly as a parse would. Batch items and jobs
+// share the path.
 func TestDiffCacheSourceHitSkipsParse(t *testing.T) {
 	s, ts := newTestServer(t, Config{DiffCacheEntries: 8})
 	a := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"}
+	aTimed := a
+	aTimed.TimeoutMs = 5000
 	aSpaced := a
 	aSpaced.Old = cacheOldSpaced
 
@@ -218,8 +247,8 @@ func TestDiffCacheSourceHitSkipsParse(t *testing.T) {
 		cached bool
 	}{
 		{"A", a, 1, false},
-		{"A again", a, 1, true},
-		{"A spaced", aSpaced, 2, true},
+		{"A in another body", aTimed, 1, true},
+		{"A spaced", aSpaced, 2, false},
 		{"A spaced again", aSpaced, 2, true},
 	} {
 		before := s.Metrics().Snapshot()
@@ -241,14 +270,11 @@ func TestDiffCacheSourceHitSkipsParse(t *testing.T) {
 				step.name, dOld, dNew, oldStep, newStep)
 		}
 	}
-	if m := s.Metrics().Snapshot(); m.Cache.Hits != 3 || m.Cache.Misses != 1 {
-		t.Errorf("cache traffic = %d hits / %d misses, want 3/1", m.Cache.Hits, m.Cache.Misses)
+	if m := s.Metrics().Snapshot(); m.Cache.Hits != 2 || m.Cache.Misses != 2 {
+		t.Errorf("cache traffic = %d hits / %d misses, want 2/2", m.Cache.Hits, m.Cache.Misses)
 	}
 
-	// The spaced variant now owns the entry's source key; A itself
-	// re-points it with one more parse, after which batch items and
-	// jobs for A are source hits.
-	diffOnce(t, ts, a)
+	// Batch items and jobs for A are source hits.
 	before := parses()
 	status, body, _ := postJSON(t, ts, "/v1/diff/batch",
 		BatchDiffRequest{Items: []BatchDiffItem{{ID: "a", DiffRequest: a}}})
@@ -273,19 +299,22 @@ func TestDiffCacheSourceHitSkipsParse(t *testing.T) {
 	}
 }
 
-// TestDiffCacheSourceHitTrace: each lookup level records a cache span
-// naming its key and result. A source hit has no parse span; a
-// whitespace variant shows the source miss, the parse, then the
-// content hit.
+// TestDiffCacheSourceHitTrace: each lookup records a cache span naming
+// the level that answered or missed, and its result. A byte-identical
+// repeat shows a body hit, the same documents in another body a source
+// hit, neither a parse; a miss, the whitespace variant's included,
+// shows the source miss, then the parse, and no other cache span.
 func TestDiffCacheSourceHitTrace(t *testing.T) {
 	ring := obs.NewRing(8)
 	_, ts, done := obsServer(t, Config{DiffCacheEntries: 8}, ring)
 	defer done()
 
 	a := DiffRequest{Old: cacheOld, New: cacheNew, Format: "text"}
+	aTimed := a
+	aTimed.TimeoutMs = 5000
 	aSpaced := a
 	aSpaced.Old = cacheOldSpaced
-	for i, req := range []DiffRequest{a, a, aSpaced} {
+	for i, req := range []DiffRequest{a, a, aTimed, aSpaced} {
 		data, _ := json.Marshal(req)
 		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/diff", bytes.NewReader(data))
 		if err != nil {
@@ -301,7 +330,7 @@ func TestDiffCacheSourceHitTrace(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
 	}
-	waitFor(t, "traces retained", func() bool { return ring.Stats().Kept == 3 })
+	waitFor(t, "traces retained", func() bool { return ring.Stats().Kept == 4 })
 
 	// spans renders a trace's top-level spans, cache spans with their
 	// key and result.
@@ -320,13 +349,20 @@ func TestDiffCacheSourceHitTrace(t *testing.T) {
 		}
 	}
 	for id, want := range map[string][]string{
-		"req-0": {"cache source/miss", "parse", "cache content/miss"},
-		"req-1": {"cache source/hit"},
-		"req-2": {"cache source/miss", "parse", "cache content/hit"},
+		"req-0": {"cache source/miss", "parse"},
+		"req-1": {"cache body/hit"},
+		"req-2": {"cache source/hit"},
+		"req-3": {"cache source/miss", "parse"},
 	} {
 		got := spans[id]
-		if id == "req-0" && len(got) > len(want) {
-			got = got[:len(want)] // the miss goes on to match and generate
+		if len(got) > len(want) && want[len(want)-1] == "parse" {
+			// A miss goes on to match and generate, with no other lookup.
+			for _, line := range got[len(want):] {
+				if strings.HasPrefix(line, "cache") {
+					t.Errorf("%s: a second cache span after the parse: %q", id, got)
+				}
+			}
+			got = got[:len(want)]
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s spans = %q, want %q", id, got, want)
@@ -335,24 +371,47 @@ func TestDiffCacheSourceHitTrace(t *testing.T) {
 }
 
 // TestDiffCacheConcurrent storms a capacity-2 cache with six pairs and
-// their whitespace variants, so entries are evicted and source keys
-// re-pointed constantly. Run under -race. Every response must carry the
-// script a cacheless server returns for the same request, every diff
-// counts one hit or one miss, and afterwards the two indexes agree.
+// their whitespace variants, so entries are evicted and body keys
+// re-pointed constantly. Run under -race. Each pair makes its own edit,
+// so a response served for another pair shows: every response must
+// give the answer a cacheless server gives for the same request, every
+// diff counts one hit or one miss, and afterwards the two indexes
+// agree with the entries.
 func TestDiffCacheConcurrent(t *testing.T) {
+	edits := []func(old string) string{
+		func(old string) string { return strings.Replace(old, "second", "changed", 1) },
+		func(old string) string { return strings.Replace(old, " A third one follows.", "", 1) },
+		func(old string) string {
+			return strings.Replace(old, "opens here.", "opens here. A brand new sentence arrives.", 1)
+		},
+		func(old string) string { return strings.Replace(old, "closing paragraph", "final paragraph", 1) },
+		func(old string) string {
+			moved := strings.Replace(old, " A third one follows.", "", 1)
+			return moved + " A third one follows."
+		},
+		func(old string) string {
+			return strings.Replace(strings.Replace(old, "second", "changed", 1), " A third one follows.", "", 1)
+		},
+	}
 	var reqs []DiffRequest
-	for i := 0; i < 6; i++ {
-		old := fmt.Sprintf("Pair %d opens here. It has a second sentence.\n\nA closing paragraph for pair %d.", i, i)
-		req := DiffRequest{Old: old, New: strings.Replace(old, "second", "changed", 1), Format: "text"}
+	for i, edit := range edits {
+		old := fmt.Sprintf("Pair %d opens here. It has a second sentence. A third one follows.\n\nA closing paragraph for pair %d.", i, i)
+		req := DiffRequest{Old: old, New: edit(old), Format: "text"}
 		spaced := req
 		spaced.Old = strings.ReplaceAll(old, ". ", ".   ") + "\n"
 		reqs = append(reqs, req, spaced)
 	}
 	_, plain := newTestServer(t, Config{})
 	want := make([]string, len(reqs))
+	scripts := map[string]int{}
 	for i, req := range reqs {
-		script, _ := json.Marshal(diffOnce(t, plain, req).Script)
-		want[i] = string(script)
+		resp := diffOnce(t, plain, req)
+		want[i] = answer(t, resp)
+		script, _ := json.Marshal(resp.Script)
+		if j, seen := scripts[string(script)]; seen && j != i/2 {
+			t.Fatalf("pairs %d and %d have one cacheless script %s", j, i/2, script)
+		}
+		scripts[string(script)] = i / 2
 	}
 
 	const capacity, workers, perWorker = 2, 8, 40
@@ -371,8 +430,8 @@ func TestDiffCacheConcurrent(t *testing.T) {
 					t.Errorf("request %d: status %d: %s", k, status, raw)
 					return
 				}
-				if script, _ := json.Marshal(resp.Script); string(script) != want[k] {
-					t.Errorf("request %d (cached=%v): script %s, want %s", k, resp.Cached, script, want[k])
+				if got := answer(t, resp); got != want[k] {
+					t.Errorf("request %d (cached=%v) answered\n%s\nwant\n%s", k, resp.Cached, got, want[k])
 				}
 				if size := s.met.CacheSize.Load(); size > capacity {
 					t.Errorf("cache size %d exceeds capacity %d", size, capacity)
@@ -394,25 +453,20 @@ func TestDiffCacheConcurrent(t *testing.T) {
 	c := s.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.lru.Len(); len(c.bySource) > n || len(c.byBody) > n || n > capacity || len(c.byKey) != n {
-		t.Errorf("indexes hold %d source / %d body / %d content keys over %d entries (capacity %d)",
-			len(c.bySource), len(c.byBody), len(c.byKey), n, capacity)
+	if n := c.lru.Len(); len(c.bySource) != n || n > capacity {
+		t.Errorf("%d source keys index %d entries (capacity %d)", len(c.bySource), n, capacity)
 	}
-	bodies := 0
+	live := map[*list.Element]bool{}
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if c.byKey[e.key] != el || c.bySource[e.src] != el {
-			t.Errorf("entry %+v is not indexed under both its keys", e.key)
-		}
-		if e.body != (bodyKey{}) {
-			bodies++
-			if c.byBody[e.body] != el {
-				t.Errorf("entry %+v is not indexed under its body key", e.key)
-			}
+		live[el] = true
+		if c.bySource[el.Value.(*cacheEntry).src] != el {
+			t.Error("an entry is not indexed under its source key")
 		}
 	}
-	if bodies != len(c.byBody) {
-		t.Errorf("%d body keys indexed, %d held by entries", len(c.byBody), bodies)
+	for bk, el := range c.byBody {
+		if !live[el] || el.Value.(*cacheEntry).body != bk {
+			t.Errorf("body key %x does not point at the entry that holds it", bk[:4])
+		}
 	}
 }
 
@@ -543,7 +597,7 @@ func TestDiffCacheBodyKeyDropped(t *testing.T) {
 		t.Error("a body whose entry was evicted was answered from the cache")
 	}
 
-	// A put over the resident content key, as a concurrent miss of the
+	// A put over the resident source key, as a concurrent miss of the
 	// same pair makes, replaces the response.
 	post(a)
 	c := s.cache
@@ -551,14 +605,14 @@ func TestDiffCacheBodyKeyDropped(t *testing.T) {
 	e := c.byBody[sha256.Sum256(a)].Value.(*cacheEntry)
 	replacement := e.resp
 	replacement.Stats.PhaseMicros = map[string]int64{"parse": 424242}
-	k, src := e.key, e.src
+	src := e.src
 	c.mu.Unlock()
-	c.put(k, src, bodyKey{}, replacement)
+	c.put(src, bodyKey{}, replacement)
 	if indexed, _ := bodyState(s, a); indexed {
 		t.Error("a replaced response's body key is still indexed")
 	}
 	c.mu.Lock()
-	e = c.byKey[k].Value.(*cacheEntry)
+	e = c.bySource[src].Value.(*cacheEntry)
 	if e.hitJSON != nil || e.body != (bodyKey{}) {
 		t.Error("the replacing entry kept the old body key or encoding")
 	}
@@ -664,4 +718,167 @@ func TestSourceDigest(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sourceDigest(big, big) }); n != 0 {
 		t.Errorf("sourceDigest allocates %.0f times per call, want 0", n)
 	}
+}
+
+// FuzzDiffCache drives a diffCache of capacity 2 or 3 with the calls the
+// server makes — getBody, setHitJSON, getSource and put — over four
+// source keys and eight bodies, each body belonging to one source as a
+// real body decodes to one request, and checks the cache after every
+// call against a model: the LRU order of the sources, the latest
+// response stored for each, and each entry's current body key.
+func FuzzDiffCache(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 1, 2, 7, 4, 11, 15, 1, 8, 19, 23, 27, 3, 0, 2, 6})
+	f.Add([]byte{1, 3, 7, 11, 15, 19, 2, 6, 10, 14, 0, 4, 8, 12, 1, 5, 9, 13})
+	f.Add([]byte{0, 3, 35, 0, 1, 3, 0, 1, 3, 7, 4, 5, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 || len(ops) > 256 {
+			return
+		}
+		const sources, bodies = 4, 8
+		capacity := 2 + int(ops[0]%2)
+		met := &Metrics{}
+		c := newDiffCache(capacity, met)
+		srcKey := func(i int) sourceKey { return sourceKey{digest: [sha256.Size]byte{byte(i + 1)}} }
+		// Body j belongs to source j%sources; -1 is the zero key of a
+		// batch item or job.
+		bodyOf := func(j int) bodyKey {
+			if j < 0 {
+				return bodyKey{}
+			}
+			return bodyKey{byte(j + 1)}
+		}
+		// pick names one of source i's two bodies by n, or the zero key
+		// when n%3 == 0.
+		pick := func(i, n int) int {
+			if n%3 == 0 {
+				return -1
+			}
+			return i + sources*(n%3-1)
+		}
+
+		type modelEntry struct{ src, version, body int }
+		var lru []modelEntry // front first
+		var misses, evictions int64
+		version := 0
+		find := func(src int) int {
+			for i, e := range lru {
+				if e.src == src {
+					return i
+				}
+			}
+			return -1
+		}
+		touch := func(i int) { e := lru[i]; lru = append(append([]modelEntry{e}, lru[:i]...), lru[i+1:]...) }
+		resp := func(src, version int) DiffResponse {
+			return DiffResponse{Format: fmt.Sprint("source ", src), Stats: DiffStats{Ops: version}}
+		}
+		var pending []*cacheEntry // body hits still to memoize their encoding
+
+		for n, op := range ops[1:] {
+			arg := int(op >> 2)
+			switch op & 3 {
+			case 0: // getBody
+				j := arg % bodies
+				src := j % sources
+				e, hitJSON, ok := c.getBody(bodyOf(j))
+				i := find(src)
+				want := i >= 0 && lru[i].body == j
+				if ok != want {
+					t.Fatalf("op %d: getBody(%d) hit %v, model %v", n, j, ok, want)
+				}
+				if !ok {
+					break
+				}
+				w := resp(src, lru[i].version)
+				if e.resp.Format != w.Format || e.resp.Stats.Ops != w.Stats.Ops {
+					t.Fatalf("op %d: getBody(%d) = %s v%d, want %s v%d", n, j, e.resp.Format, e.resp.Stats.Ops, w.Format, w.Stats.Ops)
+				}
+				if hitJSON != nil && !bytes.Equal(hitJSON, encodeHit(w)) {
+					t.Fatalf("op %d: getBody(%d) encoding %s does not encode the entry's response", n, j, hitJSON)
+				}
+				if hitJSON == nil {
+					pending = append(pending, e)
+				}
+				touch(i)
+			case 1: // setHitJSON, perhaps for an entry since replaced or evicted
+				if len(pending) == 0 {
+					break
+				}
+				k := arg % len(pending)
+				e := pending[k]
+				pending = append(pending[:k], pending[k+1:]...)
+				c.setHitJSON(e, encodeHit(e.resp))
+			case 2: // getSource
+				src := arg % sources
+				j := pick(src, arg/sources)
+				got, ok := c.getSource(srcKey(src), bodyOf(j))
+				i := find(src)
+				if ok != (i >= 0) {
+					t.Fatalf("op %d: getSource(%d) hit %v, model %v", n, src, ok, i >= 0)
+				}
+				if !ok {
+					misses++
+					break
+				}
+				if w := resp(src, lru[i].version); got.Format != w.Format || got.Stats.Ops != w.Stats.Ops {
+					t.Fatalf("op %d: getSource(%d) = %s v%d, want %s v%d", n, src, got.Format, got.Stats.Ops, w.Format, w.Stats.Ops)
+				}
+				if j >= 0 {
+					lru[i].body = j
+				}
+				touch(i)
+			case 3: // put, over a stored source key or not
+				src := arg % sources
+				j := pick(src, arg/sources)
+				version++
+				c.put(srcKey(src), bodyOf(j), resp(src, version))
+				if i := find(src); i >= 0 {
+					lru[i] = modelEntry{src, version, j}
+					touch(i)
+					break
+				}
+				lru = append([]modelEntry{{src, version, j}}, lru...)
+				if len(lru) > capacity {
+					lru = lru[:capacity]
+					evictions++
+				}
+			}
+
+			if c.lru.Len() > c.max || len(c.bySource) != c.lru.Len() {
+				t.Fatalf("op %d: %d entries, %d source keys, capacity %d", n, c.lru.Len(), len(c.bySource), c.max)
+			}
+			if met.CacheMisses.Load() != misses || met.CacheEvictions.Load() != evictions {
+				t.Fatalf("op %d: %d misses, %d evictions; model %d, %d",
+					n, met.CacheMisses.Load(), met.CacheEvictions.Load(), misses, evictions)
+			}
+			if size := met.CacheSize.Load(); size != int64(len(lru)) {
+				t.Fatalf("op %d: cache size %d, model %d", n, size, len(lru))
+			}
+			el := c.lru.Front()
+			indexed := 0
+			for i, m := range lru {
+				if el == nil {
+					t.Fatalf("op %d: %d entries, model %d", n, i, len(lru))
+				}
+				e := el.Value.(*cacheEntry)
+				if e.src != srcKey(m.src) || e.body != bodyOf(m.body) || e.resp.Stats.Ops != m.version {
+					t.Fatalf("op %d: entry %d holds v%d with body %x; model source %d v%d body %d",
+						n, i, e.resp.Stats.Ops, e.body[:1], m.src, m.version, m.body)
+				}
+				if e.hitJSON != nil && !bytes.Equal(e.hitJSON, encodeHit(resp(m.src, m.version))) {
+					t.Fatalf("op %d: entry %d's encoding %s is not of its response", n, i, e.hitJSON)
+				}
+				if m.body >= 0 {
+					indexed++
+					if c.byBody[e.body] != el {
+						t.Fatalf("op %d: body %d is not indexed at its entry", n, m.body)
+					}
+				}
+				el = el.Next()
+			}
+			if el != nil || len(c.byBody) != indexed {
+				t.Fatalf("op %d: %d entries, %d body keys; model %d, %d", n, c.lru.Len(), len(c.byBody), len(lru), indexed)
+			}
+		}
+	})
 }

@@ -76,10 +76,10 @@ type DiffResponse struct {
 	// the new document. DegradedReasons says what was given up.
 	Degraded        bool     `json:"degraded,omitempty"`
 	DegradedReasons []string `json:"degradedReasons,omitempty"`
-	// Cached reports that the response was served from the diff cache
-	// without running match, generate or render — and, for a
-	// byte-identical repeat, without parsing; Stats then describe the
-	// original computation, not this request.
+	// Cached reports that the response was served from the diff cache:
+	// the request repeated the bytes of both documents under the same
+	// options, so nothing was parsed, matched, generated or rendered;
+	// Stats then describe the original computation, not this request.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -461,7 +461,7 @@ func (s *Server) serveBodyHit(w http.ResponseWriter, r *http.Request, e *cacheEn
 
 	start := time.Now()
 	_, csp := obs.StartSpan(r.Context(), "cache")
-	endCacheSpan(csp, "source", true)
+	endCacheSpan(csp, "body", true)
 	s.countHit(e.resp.Stats, start)
 	if hitJSON == nil {
 		hitJSON = encodeHit(e.resp)
@@ -484,36 +484,37 @@ func encodeHit(resp DiffResponse) []byte {
 }
 
 // executeDiff runs the validated plan through the full pipeline —
-// source-key cache lookup, parse, content-key cache lookup, match,
-// generate, render — and returns either the response or the shared
-// failure envelope. A repeat of byte-identical documents is answered
-// before the parse, a content-equal one after it; either way, and on a
-// store, the entry learns the plan's body key. The caller must already
-// hold a worker slot; metric accounting (phase latencies, node volumes,
-// diffs/degraded counters) happens here, identically for every consumer.
+// source-key cache lookup, parse, match, generate, render — and
+// returns either the response or the shared failure envelope. A repeat
+// of byte-identical documents is answered before the parse; on that
+// hit, and on a store, the entry learns the plan's body key. The
+// caller must already hold a worker slot; metric accounting (phase
+// latencies, node volumes, diffs/degraded counters) happens here,
+// identically for every consumer.
 func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse, *ItemError) {
 	req, output, matcher := plan.req, plan.output, plan.matcher
 	start := time.Now()
 	prune := req.Prune || s.cfg.PruneIdentical
-	opts := cacheOpts{
-		format:            req.Format,
-		output:            output,
-		matcher:           matcher,
-		leafThreshold:     req.LeafThreshold,
-		internalThreshold: req.InternalThreshold,
-		prune:             prune,
-	}
 
 	// Cache lookup, source level: the SHA-256 of both sources plus the
 	// options. A hit skips everything, the parse included.
 	var src sourceKey
 	if s.cache != nil {
-		src = sourceKey{digest: sourceDigest(req.Old, req.New), opts: opts}
+		src = sourceKey{digest: sourceDigest(req.Old, req.New), opts: cacheOpts{
+			format:            req.Format,
+			output:            output,
+			matcher:           matcher,
+			leafThreshold:     req.LeafThreshold,
+			internalThreshold: req.InternalThreshold,
+			prune:             prune,
+		}}
 		_, csp := obs.StartSpan(ctx, "cache")
 		hit, ok := s.cache.getSource(src, plan.body)
 		endCacheSpan(csp, "source", ok)
 		if ok {
-			return s.cacheHit(hit, start), nil
+			s.countHit(hit.Stats, start)
+			hit.Cached = true
+			return &hit, nil
 		}
 	}
 
@@ -546,24 +547,6 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	psp.End()
 	observe(PhaseParse, time.Since(t0))
 
-	// Cache lookup, content level: the Merkle root fingerprints of both
-	// parsed trees plus the options, so a repeat that differs only in
-	// whitespace the parser normalizes still hits. A hit skips match,
-	// generation, and render.
-	var ckey cacheKey
-	if s.cache != nil {
-		ckey = cacheKey{
-			oldFP: ladiff.RootFingerprint(oldT),
-			newFP: ladiff.RootFingerprint(newT),
-			opts:  opts,
-		}
-		_, csp := obs.StartSpan(ctx, "cache")
-		hit, ok := s.cache.get(ckey, src, plan.body)
-		endCacheSpan(csp, "content", ok)
-		if ok {
-			return s.cacheHit(hit, start), nil
-		}
-	}
 	s.met.OldNodes.Add(int64(oldT.Len()))
 	s.met.NewNodes.Add(int64(newT.Len()))
 
@@ -666,22 +649,14 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	// reflects this moment's budget pressure, not the documents, and
 	// must not be replayed to later requests.
 	if s.cache != nil && !resp.Degraded {
-		s.cache.put(ckey, src, plan.body, resp)
+		s.cache.put(src, plan.body, resp)
 	}
 	s.met.Diffs.Add(1)
 	s.met.RequestLatency.Observe(time.Since(start))
 	return &resp, nil
 }
 
-// cacheHit finishes a request answered from the diff cache at the
-// source or content level.
-func (s *Server) cacheHit(resp DiffResponse, start time.Time) *DiffResponse {
-	s.countHit(resp.Stats, start)
-	resp.Cached = true
-	return &resp
-}
-
-// countHit accounts a request answered from the diff cache at any
+// countHit accounts a request answered from the diff cache at either
 // level. The node volumes come from the cached Stats — the same counts
 // a parse of this request would have added.
 func (s *Server) countHit(st DiffStats, start time.Time) {

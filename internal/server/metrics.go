@@ -44,8 +44,10 @@ var phaseNames = [numPhases]string{"parse", "match", "generate", "render"}
 //	old_nodes_total/new_nodes_total  cumulative document node counts (workload volume):
 //	                                 parsed, or taken from the cached Stats on a hit
 //	cache.{hits,misses,evictions}    diff-cache traffic: a diff counts one hit (at the
-//	                                 source or the content key) or one miss (at the
-//	                                 content key); all zero when DiffCacheEntries is 0
+//	                                 body or the source key) or one miss (at the source
+//	                                 key, before the parse, so a request whose documents
+//	                                 then fail to parse counts one too); all zero when
+//	                                 DiffCacheEntries is 0
 //	cache.{size,capacity}            current entry count and configured bound
 //	phase_us.<phase>          latency histogram of each *completed* phase —
 //	                          a request that dies mid-phase never records it,
@@ -68,8 +70,10 @@ type Metrics struct {
 	OldNodes         atomic.Int64
 	NewNodes         atomic.Int64
 
-	// Diff-cache counters, owned by diffCache (CacheCapacity is set
-	// once at New). All stay zero when the cache is disabled.
+	// Diff-cache counters: diffCache keeps misses, evictions and size,
+	// the server counts a hit once the request holds a slot (countHit),
+	// and CacheCapacity is set once at New. All stay zero when the
+	// cache is disabled.
 	CacheHits      atomic.Int64
 	CacheMisses    atomic.Int64
 	CacheEvictions atomic.Int64

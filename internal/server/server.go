@@ -66,12 +66,12 @@ type Config struct {
 	// Individual requests can opt in with "prune": true regardless.
 	PruneIdentical bool
 	// DiffCacheEntries bounds the LRU cache of diff responses, in
-	// entries: a repeat of a (content, options) pair the cache still
-	// holds is served without re-running the pipeline, a repeat of
-	// byte-identical documents without parsing either, and a
-	// byte-identical /v1/diff body without decoding it. Each entry is
-	// indexed by a body key, a source key and a content key but counts
-	// once. 0 (the default) disables caching entirely.
+	// entries: a repeat of byte-identical documents under the same
+	// options is served without parsing or re-running the pipeline,
+	// and a byte-identical /v1/diff body without decoding it. Each
+	// entry is indexed by a source key and a body key, both SHA-256
+	// digests of request bytes, but counts once. 0 (the default)
+	// disables caching entirely.
 	DiffCacheEntries int
 	// Store enables the versioned-document endpoints (/v1/docs/...):
 	// ingest, version listing, checkout, version diff, and SSE change
@@ -190,8 +190,8 @@ type Server struct {
 	met  *Metrics
 	log  *slog.Logger
 	// cache is the diff LRU, looked up by /v1/diff body bytes before
-	// the decode, by source bytes before the parse and by content
-	// fingerprints after it; nil when Config.DiffCacheEntries is 0.
+	// the decode and by source bytes before the parse; nil when
+	// Config.DiffCacheEntries is 0.
 	cache *diffCache
 	// jobs is the async-job store behind /v1/jobs; nil only before New
 	// finishes.
