@@ -5,86 +5,107 @@
 //
 // Usage:
 //
-//	experiments [-run fig13a,fig13b,table1,matchers,zs,editscript,ablation,quality,qualityperf,matchperf,editperf,servperf,storeperf,batchperf]
+//	experiments [-run fig13a,fig13b,table1,matchers,zs,editscript,ablation,quality,qualityperf,matchperf,editperf,hashperf,routeperf,batchperf] [-out DIR]
 //
-// With no -run flag every experiment runs. The output of a full run is
-// recorded in EXPERIMENTS.md alongside the paper's numbers.
+// With no -run flag every experiment runs, in the order above; a -run
+// list runs its experiments in that order too, and a name outside it
+// exits 2 before anything runs. The six experiments whose names end in
+// "perf" also write their BENCH_*.json report into the -out directory
+// (default "."). The output of a full run is recorded in EXPERIMENTS.md
+// alongside the paper's numbers.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"ladiff/internal/bench"
 )
 
-func main() {
-	runFlag := flag.String("run", "", "comma-separated experiments to run (default: all)")
-	perfOut := flag.String("perfout", "BENCH_matching.json", "output path for the matchperf report")
-	editPerfOut := flag.String("editperfout", "BENCH_editscript.json", "output path for the editperf report")
-	servOut := flag.String("servout", "BENCH_serving.json", "output path for the servperf report")
-	obsOut := flag.String("obsout", "BENCH_obs.json", "output path for the obsperf report")
-	hashOut := flag.String("hashout", "BENCH_hashing.json", "output path for the hashperf report")
-	qualityOut := flag.String("qualityout", "BENCH_quality.json", "output path for the qualityperf report")
-	storeOut := flag.String("storeout", "BENCH_store.json", "output path for the storeperf report")
-	routeOut := flag.String("routeout", "BENCH_routing.json", "output path for the routeperf report")
-	batchOut := flag.String("batchout", "BENCH_batch.json", "output path for the batchperf report")
-	flag.Parse()
-	perfOutPath = *perfOut
-	editPerfOutPath = *editPerfOut
-	servPerfOutPath = *servOut
-	obsPerfOutPath = *obsOut
-	hashPerfOutPath = *hashOut
-	qualityPerfOutPath = *qualityOut
-	storePerfOutPath = *storeOut
-	routePerfOutPath = *routeOut
-	batchPerfOutPath = *batchOut
+// outDir is the directory the -out flag names: every report keeps its
+// file name under it.
+var outDir = "."
 
-	all := []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig13a", runFig13a},
-		{"fig13b", runFig13b},
-		{"table1", runTable1},
-		{"matchers", runMatchers},
-		{"zs", runZS},
-		{"editscript", runEditScript},
-		{"ablation", runAblation},
-		{"quality", runQuality},
-		{"qualityperf", runQualityPerf},
-		{"matchperf", runMatchPerf},
-		{"editperf", runEditPerf},
-		{"servperf", runServPerf},
-		{"obsperf", runObsPerf},
-		{"hashperf", runHashPerf},
-		{"storeperf", runStorePerf},
-		{"routeperf", runRoutePerf},
-		{"batchperf", runBatchPerf},
-	}
-	want := map[string]bool{}
-	if *runFlag != "" {
-		for _, n := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(n)] = true
+func main() {
+	list := flag.String("run", "", "comma-separated experiments to run (default: all)")
+	flag.StringVar(&outDir, "out", outDir, "directory the BENCH_*.json reports are written to")
+	flag.Parse()
+	os.Exit(run(*list))
+}
+
+// experiment is one -run name and the function that runs it.
+type experiment struct {
+	name string
+	fn   func() error
+}
+
+// experiments is every experiment in the order a run takes them.
+var experiments = []experiment{
+	{"fig13a", runFig13a},
+	{"fig13b", runFig13b},
+	{"table1", runTable1},
+	{"matchers", runMatchers},
+	{"zs", runZS},
+	{"editscript", runEditScript},
+	{"ablation", runAblation},
+	{"quality", runQuality},
+	{"qualityperf", runQualityPerf},
+	{"matchperf", runMatchPerf},
+	{"editperf", runEditPerf},
+	{"hashperf", runHashPerf},
+	{"routeperf", runRoutePerf},
+	{"batchperf", runBatchPerf},
+}
+
+// run runs the experiments the comma-separated list names, every one
+// for an empty list, in table order, and returns the exit code: 2 when
+// the list names an experiment the table lacks (nothing runs then), 1
+// when an experiment fails.
+func run(list string) int {
+	selected := experiments
+	if list != "" {
+		want := map[string]bool{}
+		for _, name := range strings.Split(list, ",") {
+			want[strings.TrimSpace(name)] = true
+		}
+		selected = nil
+		for _, exp := range experiments {
+			if want[exp.name] {
+				selected = append(selected, exp)
+				delete(want, exp.name)
+			}
+		}
+		for name := range want { // any name left is unknown
+			fmt.Fprintf(os.Stderr, "experiments: no experiment named %q\n", name)
+			return 2
 		}
 	}
-	ran := 0
-	for _, exp := range all {
-		if len(want) > 0 && !want[exp.name] {
-			continue
-		}
+	for _, exp := range selected {
 		if err := exp.fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", exp.name, err)
-			os.Exit(1)
+			return 1
 		}
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no experiment matched -run=%q\n", *runFlag)
-		os.Exit(2)
+	return 0
+}
+
+// writeReport writes report as indented JSON to the named file in the
+// -out directory.
+func writeReport(file string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
 	}
+	path := filepath.Join(outDir, file)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 func runFig13a() error {
@@ -162,7 +183,7 @@ func runMatchers() error {
 	fmt.Println("   (§5.3 claim: FastMatch ≈ O((ne+e²)c), Match ≈ O(n²c) worst case)")
 	var rows [][]string
 	for _, p := range points {
-		speedup := float64(p.SlowNanos) / float64(maxI64(p.FastNanos, 1))
+		speedup := float64(p.SlowNanos) / float64(max(p.FastNanos, 1))
 		rows = append(rows, []string{
 			fmt.Sprint(p.Leaves),
 			fmt.Sprint(p.FastCompares), fmt.Sprint(p.SlowCompares),
@@ -186,7 +207,7 @@ func runZS() error {
 	fmt.Println("   (§2 claim: ours near-linear when e≪n; ZS Ω(n²) — gap widens with n)")
 	var rows [][]string
 	for _, p := range points {
-		speedup := float64(p.ZSNanos) / float64(maxI64(p.OursNanos, 1))
+		speedup := float64(p.ZSNanos) / float64(max(p.OursNanos, 1))
 		rows = append(rows, []string{
 			fmt.Sprint(p.Nodes),
 			fmt.Sprintf("%.2fms", float64(p.OursNanos)/1e6),
@@ -271,9 +292,6 @@ func runQuality() error {
 	return nil
 }
 
-// qualityPerfOutPath is where runQualityPerf writes BENCH_quality.json.
-var qualityPerfOutPath = "BENCH_quality.json"
-
 // qualityPerfSections overrides the E14 size sweep; nil means the
 // default. The smoke test trims it so the suite stays fast.
 var qualityPerfSections []int
@@ -300,16 +318,12 @@ func runQualityPerf() error {
 	}
 	fmt.Print(bench.FormatTable(
 		[]string{"class", "engine", "nodes", "time", "ops", "cost", "optimal", "ratio"}, rows))
-	if err := report.WriteQualityPerf(qualityPerfOutPath); err != nil {
+	if err := writeReport("BENCH_quality.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", qualityPerfOutPath)
 	fmt.Println()
 	return nil
 }
-
-// perfOutPath is where runMatchPerf writes BENCH_matching.json.
-var perfOutPath = "BENCH_matching.json"
 
 // matchPerfSlots sizes the multi-label pairs of the matchperf report.
 const matchPerfSlots = 800
@@ -319,27 +333,22 @@ func runMatchPerf() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Matching engine: seed baseline vs FastMatch ==")
+	fmt.Println("== Matching engine: FastMatch on a document pair and two multi-label pairs ==")
 	fmt.Println("   (r1/r2 are the logical Figure 13(b) counters)")
 	rows := [][]string{}
-	for _, r := range append([]bench.MatchingPerfRun{report.Before}, report.After...) {
+	for _, r := range report.After {
 		rows = append(rows, []string{
 			r.Name, fmt.Sprintf("%.2f", float64(r.NsPerOp)/1e6),
 			fmt.Sprint(r.Pairs), fmt.Sprint(r.R1), fmt.Sprint(r.R2),
 		})
 	}
 	fmt.Print(bench.FormatTable([]string{"config", "ms/op", "pairs", "r1", "r2"}, rows))
-	fmt.Printf("speedup vs seed: %.1fx (GOMAXPROCS %d, %d CPUs)\n", report.SpeedupX, report.GoMaxProcs, report.NumCPU)
-	if err := report.WriteMatchingPerf(perfOutPath); err != nil {
+	if err := writeReport("BENCH_matching.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", perfOutPath)
 	fmt.Println()
 	return nil
 }
-
-// editPerfOutPath is where runEditPerf writes BENCH_editscript.json.
-var editPerfOutPath = "BENCH_editscript.json"
 
 func runEditPerf() error {
 	report, err := bench.CollectEditPerf(5)
@@ -360,76 +369,12 @@ func runEditPerf() error {
 	fmt.Print(bench.FormatTable([]string{"config", "ms/op", "script ops", "pos scans", "eff pos steps"}, rows))
 	fmt.Printf("scripts identical: %v\n", report.ScriptsIdentical)
 	fmt.Printf("speedup scan→indexed: %.1fx\n", report.SpeedupX)
-	if err := report.WriteEditPerf(editPerfOutPath); err != nil {
+	if err := writeReport("BENCH_editscript.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", editPerfOutPath)
 	fmt.Println()
 	return nil
 }
-
-// servPerfOutPath is where runServPerf writes BENCH_serving.json.
-var servPerfOutPath = "BENCH_serving.json"
-
-func runServPerf() error {
-	report, err := bench.CollectServingPerf(0, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== E11: serving-path throughput and latency (closed-loop, mixed classes) ==")
-	fmt.Println("   (full ladiffd handler stack over loopback HTTP; latencies are")
-	fmt.Println("    client-observed end to end, quantiles from the sorted sample)")
-	var rows [][]string
-	for _, c := range report.Classes {
-		rows = append(rows, []string{
-			c.Class, fmt.Sprint(c.OldNodes), fmt.Sprint(c.Requests), fmt.Sprint(c.Errors),
-			fmt.Sprintf("%.0f", c.ThroughputRPS),
-			fmt.Sprintf("%.2f", float64(c.P50US)/1e3),
-			fmt.Sprintf("%.2f", float64(c.P95US)/1e3),
-			fmt.Sprintf("%.2f", float64(c.P99US)/1e3),
-		})
-	}
-	fmt.Print(bench.FormatTable(
-		[]string{"class", "nodes", "requests", "errors", "req/s", "p50 ms", "p95 ms", "p99 ms"}, rows))
-	fmt.Printf("workers: %d, gomaxprocs: %d\n", report.Workers, report.GoMaxProcs)
-	if err := report.WriteServingPerf(servPerfOutPath); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", servPerfOutPath)
-	fmt.Println()
-	return nil
-}
-
-// obsPerfOutPath is where runObsPerf writes BENCH_obs.json.
-var obsPerfOutPath = "BENCH_obs.json"
-
-func runObsPerf() error {
-	report, err := bench.CollectObsPerf(15)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== E12: observability overhead — disabled vs armed vs fully traced ==")
-	fmt.Println("   (full core.Diff pipeline on the medium pair; script length is pinned")
-	fmt.Println("    across states because the obs layer is strictly passive)")
-	var rows [][]string
-	for _, r := range report.Runs {
-		rows = append(rows, []string{
-			r.Name, fmt.Sprintf("%.2f", float64(r.NsPerOp)/1e6), fmt.Sprint(r.Ops),
-		})
-	}
-	fmt.Print(bench.FormatTable([]string{"state", "ms/op", "script ops"}, rows))
-	fmt.Printf("armed overhead: %.2f%%, traced overhead: %.2f%% (target <2%%)\n",
-		report.ArmedOverheadPct, report.TracedOverheadPct)
-	if err := report.WriteObsPerf(obsPerfOutPath); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", obsPerfOutPath)
-	fmt.Println()
-	return nil
-}
-
-// hashPerfOutPath is where runHashPerf writes BENCH_hashing.json.
-var hashPerfOutPath = "BENCH_hashing.json"
 
 func runHashPerf() error {
 	report, err := bench.CollectHashPerf(0)
@@ -457,70 +402,12 @@ func runHashPerf() error {
 	fmt.Printf("cache (zipf s=%.1f over %d pairs, %d requests): %.0fµs/req off, %.0fµs/req on, %.1fx, hit rate %.0f%%\n",
 		cz.ZipfS, cz.DocPairs, cz.Requests,
 		float64(cz.MeanUSCacheOff), float64(cz.MeanUSCacheOn), cz.SpeedupX, cz.HitRate*100)
-	if err := report.WriteHashPerf(hashPerfOutPath); err != nil {
+	if err := writeReport("BENCH_hashing.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", hashPerfOutPath)
 	fmt.Println()
 	return nil
 }
-
-// storePerfOutPath is where runStorePerf writes BENCH_store.json.
-var storePerfOutPath = "BENCH_store.json"
-
-// storePerfDepth overrides the E15 chain depth; 0 means the default 64.
-// The smoke test trims it so the suite stays fast.
-var storePerfDepth = 0
-
-func runStorePerf() error {
-	report, err := bench.CollectStorePerf(storePerfDepth)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== E15: version store — ingest, checkout vs chain depth, feed fan-out ==")
-	fmt.Println("   (checkout replays inverse scripts back from the nearest snapshot; the")
-	fmt.Println("    checkpointed column must stay flat while plain replay grows with depth)")
-	var rows [][]string
-	for _, r := range report.Ingest {
-		rows = append(rows, []string{
-			r.Class, fmt.Sprint(r.OldNodes), fmt.Sprint(r.Versions),
-			fmt.Sprintf("%.0f", r.VersionsPerSec),
-			fmt.Sprintf("%.2f", float64(r.MeanUS)/1e3),
-			fmt.Sprintf("%.2f", float64(r.NoopUS)/1e3),
-		})
-	}
-	fmt.Print(bench.FormatTable(
-		[]string{"class", "nodes", "versions", "ingests/s", "mean ms", "noop ms"}, rows))
-	fmt.Println()
-	rows = rows[:0]
-	for _, p := range report.Checkout {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Depth), fmt.Sprint(p.Version),
-			fmt.Sprintf("%.0f", p.PlainReplays), fmt.Sprint(p.PlainUS),
-			fmt.Sprintf("%.0f", p.CheckpointReplays), fmt.Sprint(p.CheckpointUS),
-		})
-	}
-	fmt.Print(bench.FormatTable(
-		[]string{"depth", "version", "plain replays", "plain us", "ckpt replays", "ckpt us"}, rows))
-	fmt.Println()
-	rows = rows[:0]
-	for _, p := range report.Fanout {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Subscribers), fmt.Sprint(p.Ingests),
-			fmt.Sprint(p.MeanUS), fmt.Sprint(p.P95US),
-		})
-	}
-	fmt.Print(bench.FormatTable([]string{"subscribers", "ingests", "slowest mean us", "slowest p95 us"}, rows))
-	if err := report.WriteStorePerf(storePerfOutPath); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", storePerfOutPath)
-	fmt.Println()
-	return nil
-}
-
-// routePerfOutPath is where runRoutePerf writes BENCH_routing.json.
-var routePerfOutPath = "BENCH_routing.json"
 
 // routePerfPairs/Requests/Window override the E16 workload sizes;
 // 0 means the defaults (16/600/200). The smoke test trims them.
@@ -555,23 +442,12 @@ func runRoutePerf() error {
 	fmt.Print(bench.FormatTable(
 		[]string{"scenario", "replicas", "requests", "errors", "req/s", "p50 ms", "p99 ms", "hit rate", "window hits", "failovers", "recovery ms"}, rows))
 	fmt.Printf("retained hit ratio after kill+recovery: %.2f (target >= 0.90)\n", report.RetainedHitRatio)
-	if err := report.WriteRoutePerf(routePerfOutPath); err != nil {
+	if err := writeReport("BENCH_routing.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", routePerfOutPath)
 	fmt.Println()
 	return nil
 }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// batchPerfOutPath is where runBatchPerf writes BENCH_batch.json.
-var batchPerfOutPath = "BENCH_batch.json"
 
 // batchPerfPairs/batchPerfRounds shrink the harness in CI smoke tests.
 var (
@@ -602,10 +478,9 @@ func runBatchPerf() error {
 	fmt.Printf("job submit p50/p95: %.2f/%.2f ms, submit->done p50/p95: %.2f/%.2f ms\n",
 		float64(report.JobSubmitP50US)/1e3, float64(report.JobSubmitP95US)/1e3,
 		float64(report.JobDoneP50US)/1e3, float64(report.JobDoneP95US)/1e3)
-	if err := report.WriteBatchPerf(batchPerfOutPath); err != nil {
+	if err := writeReport("BENCH_batch.json", report); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", batchPerfOutPath)
 	fmt.Println()
 	return nil
 }

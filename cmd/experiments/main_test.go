@@ -3,6 +3,8 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -84,7 +86,7 @@ func TestRunQuality(t *testing.T) {
 }
 
 func TestRunQualityPerf(t *testing.T) {
-	qualityPerfOutPath = t.TempDir() + "/BENCH_quality.json"
+	outDir = t.TempDir()
 	qualityPerfSections = []int{1}
 	defer func() { qualityPerfSections = nil }()
 	out := capture(t, runQualityPerf)
@@ -93,28 +95,13 @@ func TestRunQualityPerf(t *testing.T) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.Stat(qualityPerfOutPath); err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-}
-
-func TestRunStorePerf(t *testing.T) {
-	storePerfOutPath = t.TempDir() + "/BENCH_store.json"
-	storePerfDepth = 8
-	defer func() { storePerfDepth = 0 }()
-	out := capture(t, runStorePerf)
-	for _, want := range []string{"ingests/s", "ckpt replays", "subscribers"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := os.Stat(storePerfOutPath); err != nil {
+	if _, err := os.Stat(filepath.Join(outDir, "BENCH_quality.json")); err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
 }
 
 func TestRunRoutePerf(t *testing.T) {
-	routePerfOutPath = t.TempDir() + "/BENCH_routing.json"
+	outDir = t.TempDir()
 	routePerfPairs, routePerfRequests, routePerfWindow = 4, 45, 24
 	defer func() { routePerfPairs, routePerfRequests, routePerfWindow = 0, 0, 0 }()
 	out := capture(t, runRoutePerf)
@@ -123,13 +110,13 @@ func TestRunRoutePerf(t *testing.T) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.Stat(routePerfOutPath); err != nil {
+	if _, err := os.Stat(filepath.Join(outDir, "BENCH_routing.json")); err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
 }
 
 func TestRunBatchPerf(t *testing.T) {
-	batchPerfOutPath = t.TempDir() + "/BENCH_batch.json"
+	outDir = t.TempDir()
 	batchPerfPairs, batchPerfRounds = 8, 3
 	defer func() { batchPerfPairs, batchPerfRounds = 0, 0 }()
 	out := capture(t, runBatchPerf)
@@ -138,16 +125,40 @@ func TestRunBatchPerf(t *testing.T) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.Stat(batchPerfOutPath); err != nil {
+	if _, err := os.Stat(filepath.Join(outDir, "BENCH_batch.json")); err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
 }
 
+// TestMainDispatch runs the dispatcher over a stand-in table: a -run
+// list naming an unknown experiment exits 2 with nothing run, and a
+// comma list runs its experiments once each, in table order.
 func TestMainDispatch(t *testing.T) {
-	// Unknown experiment names must leave ran == 0; exercised through
-	// the want map logic indirectly by calling a known runner above.
-	if maxI64(3, 5) != 5 || maxI64(5, 3) != 5 {
-		t.Fatal("maxI64 wrong")
+	saved := experiments
+	defer func() { experiments = saved }()
+	var ran []string
+	experiments = nil
+	for _, name := range []string{"a", "b", "c"} {
+		experiments = append(experiments, experiment{name, func() error {
+			ran = append(ran, name)
+			return nil
+		}})
+	}
+	for _, tc := range []struct {
+		list string
+		code int
+		ran  []string
+	}{
+		{"nosuch", 2, nil},
+		{"a,nosuch", 2, nil},
+		{"c, a", 0, []string{"a", "c"}},
+		{"b,b", 0, []string{"b"}},
+		{"", 0, []string{"a", "b", "c"}},
+	} {
+		ran = nil
+		if code := run(tc.list); code != tc.code || !reflect.DeepEqual(ran, tc.ran) {
+			t.Errorf("-run %q: exit %d after running %q, want exit %d after %q", tc.list, code, ran, tc.code, tc.ran)
+		}
 	}
 }
 

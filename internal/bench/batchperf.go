@@ -20,7 +20,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -57,13 +56,10 @@ type BatchPerfReport struct {
 	JobSubmitP95US int64 `json:"job_submit_p95_us"`
 	JobDoneP50US   int64 `json:"job_done_p50_us"`
 	JobDoneP95US   int64 `json:"job_done_p95_us"`
-
-	// Server is the service's own metrics scrape after the run.
-	Server server.MetricsSnapshot `json:"server"`
 }
 
 // CollectBatchPerf runs the E17 harness: `rounds` rounds of batch-N
-// versus N-sequential over the servperf tiny class, then `rounds` job
+// versus N-sequential over one minimal pair, then `rounds` job
 // submit/poll cycles. Zero picks defaults (32 pairs, 30 rounds).
 func CollectBatchPerf(pairs, rounds int) (*BatchPerfReport, error) {
 	if pairs <= 0 {
@@ -191,9 +187,17 @@ func CollectBatchPerf(pairs, rounds int) (*BatchPerfReport, error) {
 	report.JobSubmitP95US = latencyQuantile(submitUS, 0.95)
 	report.JobDoneP50US = latencyQuantile(doneUS, 0.50)
 	report.JobDoneP95US = latencyQuantile(doneUS, 0.95)
-
-	report.Server = srv.Metrics().Snapshot()
 	return report, nil
+}
+
+// latencyQuantile reads the q-quantile from an ascending-sorted slice
+// of latencies.
+func latencyQuantile(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(q * float64(len(sorted)-1))
+	return sorted[idx]
 }
 
 // postOK posts body and requires a 200, draining the response so the
@@ -253,13 +257,4 @@ func pollJobDone(client *http.Client, base, id string) error {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-// WriteBatchPerf writes the report as indented JSON to path.
-func (r *BatchPerfReport) WriteBatchPerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -7,9 +7,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -78,10 +76,10 @@ func editPerfPair() (oldT, newT *tree.Tree, m *match.Matching, err error) {
 // CollectEditPerf measures both generator configurations on the
 // wide-flat pair and assembles the full report. iters is the number of
 // timed EditScript calls per configuration (the median is reported);
-// values below 3 are raised to 3.
+// values below 1 are raised to 1.
 func CollectEditPerf(iters int) (*EditPerfReport, error) {
-	if iters < 3 {
-		iters = 3
+	if iters < 1 {
+		iters = 1
 	}
 	oldT, newT, m, err := editPerfPair()
 	if err != nil {
@@ -148,13 +146,4 @@ func CollectEditPerf(iters int) (*EditPerfReport, error) {
 		report.SpeedupX = float64(report.Before.NsPerOp) / float64(report.After.NsPerOp)
 	}
 	return report, nil
-}
-
-// WriteEditPerf writes the report as indented JSON to path.
-func (r *EditPerfReport) WriteEditPerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"time"
 
 	"ladiff/internal/core"
@@ -225,24 +224,21 @@ func CollectHashPerf(reps int) (*HashPerfReport, error) {
 	return report, nil
 }
 
-// collectCacheZipf replays one zipf-skewed stream of repeated document
-// pairs against a cache-off and a cache-on server and reports the
-// latency win plus the cache's own hit accounting.
-func collectCacheZipf() (HashCacheResult, error) {
-	const (
-		pairs    = 16
-		requests = 600
-		zipfS    = 1.2
-	)
-	res := HashCacheResult{DocPairs: pairs, Requests: requests, ZipfS: zipfS}
+// zipfS skews the E13 cache workload, which E16 replays through the
+// router too.
+const zipfS = 1.2
 
-	// Pre-render the request bodies: moderate documents, distinct seeds.
+// zipfWorkload returns that workload: pairs pre-rendered /v1/diff
+// bodies (moderate documents, distinct seeds) and n body indexes drawn
+// in one fixed zipf order, so every server it is replayed against
+// serves the exact same stream.
+func zipfWorkload(pairs, n int) ([][]byte, []int, error) {
 	bodies := make([][]byte, pairs)
 	for i := range bodies {
 		doc := gen.Document(gen.DocParams{Seed: int64(1000 + i), Sections: 6})
 		pert, err := gen.Perturb(doc, gen.Mix(int64(2000+i), 12))
 		if err != nil {
-			return res, fmt.Errorf("bench: hashperf cache pair %d: %w", i, err)
+			return nil, nil, fmt.Errorf("bench: zipf workload pair %d: %w", i, err)
 		}
 		body, err := json.Marshal(server.DiffRequest{
 			Old:    textdoc.Render(doc),
@@ -250,18 +246,44 @@ func collectCacheZipf() (HashCacheResult, error) {
 			Format: "text",
 		})
 		if err != nil {
-			return res, err
+			return nil, nil, err
 		}
 		bodies[i] = body
 	}
-
-	// One fixed zipf order shared by both servers, so they serve the
-	// exact same stream.
 	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, zipfS, 1, pairs-1)
-	order := make([]int, requests)
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(pairs-1))
+	order := make([]int, n)
 	for i := range order {
 		order[i] = int(zipf.Uint64())
+	}
+	return bodies, order, nil
+}
+
+// postDiff posts body to url's /v1/diff and drains the answer so the
+// connection is reusable. replica is the router's X-Route-Replica
+// header, empty when no router answered.
+func postDiff(client *http.Client, url string, body []byte) (status int, replica string, err error) {
+	resp, err := client.Post(url+"/v1/diff", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, "", err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("X-Route-Replica"), nil
+}
+
+// collectCacheZipf replays the zipf workload against a cache-off and a
+// cache-on server and reports the latency win plus the cache's own hit
+// accounting.
+func collectCacheZipf() (HashCacheResult, error) {
+	const (
+		pairs    = 16
+		requests = 600
+	)
+	res := HashCacheResult{DocPairs: pairs, Requests: requests, ZipfS: zipfS}
+	bodies, order, err := zipfWorkload(pairs, requests)
+	if err != nil {
+		return res, err
 	}
 
 	replay := func(cacheEntries int) (meanUS int64, errors int, snap server.MetricsSnapshot, err error) {
@@ -273,13 +295,13 @@ func collectCacheZipf() (HashCacheResult, error) {
 		defer ts.Close()
 		client := ts.Client()
 		// Warm-up outside the timed window.
-		if _, err := postHashRequest(client, ts.URL, bodies[0]); err != nil {
+		if _, _, err := postDiff(client, ts.URL, bodies[0]); err != nil {
 			return 0, 0, snap, err
 		}
 		var total time.Duration
 		for _, idx := range order {
 			t0 := time.Now()
-			status, err := postHashRequest(client, ts.URL, bodies[idx])
+			status, _, err := postDiff(client, ts.URL, bodies[idx])
 			total += time.Since(t0)
 			if err != nil || status != http.StatusOK {
 				errors++
@@ -308,23 +330,4 @@ func collectCacheZipf() (HashCacheResult, error) {
 		res.HitRate = float64(snap.Cache.Hits) / float64(traffic)
 	}
 	return res, nil
-}
-
-func postHashRequest(client *http.Client, url string, body []byte) (int, error) {
-	resp, err := client.Post(url+"/v1/diff", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// WriteHashPerf writes the report as indented JSON to path.
-func (r *HashPerfReport) WriteHashPerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,14 +1,10 @@
-// Matching-engine performance evidence: the before/after record behind
-// the BENCH_matching.json artifact. The "after" runs are measured live on
-// the current engine; the "before" run is the recorded seed-engine
-// measurement (ancestor-climb common(), no index), kept here because the
-// seed code no longer exists in the tree to be re-run.
+// Matching-engine performance evidence: the record behind the
+// BENCH_matching.json artifact, one FastMatch row per tree pair,
+// measured live on the current engine.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -18,8 +14,8 @@ import (
 	"ladiff/internal/tree"
 )
 
-// MatchingPerfRun is one measured (or recorded) FastMatch configuration
-// on one tree pair.
+// MatchingPerfRun is one measured FastMatch configuration on one tree
+// pair.
 type MatchingPerfRun struct {
 	Name   string `json:"name"`
 	Pair   string `json:"pair"`
@@ -29,40 +25,16 @@ type MatchingPerfRun struct {
 	// Pairs is the size of the returned matching.
 	Pairs int `json:"pairs"`
 	// R1/R2/Total are the logical Figure 13(b) counters.
-	R1    int64  `json:"r1_leaf_compares"`
-	R2    int64  `json:"r2_partner_checks"`
-	Total int64  `json:"total_compares"`
-	Notes string `json:"notes,omitempty"`
+	R1    int64 `json:"r1_leaf_compares"`
+	R2    int64 `json:"r2_partner_checks"`
+	Total int64 `json:"total_compares"`
 }
 
 // MatchingPerfReport is the full BENCH_matching.json payload.
 type MatchingPerfReport struct {
 	GoMaxProcs int               `json:"gomaxprocs"`
 	NumCPU     int               `json:"num_cpu"`
-	Before     MatchingPerfRun   `json:"before"`
 	After      []MatchingPerfRun `json:"after"`
-	// SpeedupX is the seed's ns/op over the current engine's on the
-	// same document pair.
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-// SeedMatchingBaseline is the pre-change measurement of
-// BenchmarkStageFastMatch on the seed engine (commit e76c52c): per-leaf
-// ancestor climbs in common(), full word-LCS on every compare, no token
-// cache, no memo, sequential. ns/op is machine-dependent; the counter
-// values are exact. r2 differs from the current engine because the seed
-// charged one check per ancestor-climb step where the current cost model
-// charges one partner lookup plus one containment test per matched leaf.
-var SeedMatchingBaseline = MatchingPerfRun{
-	Name:    "seed",
-	Pair:    docPerfPair,
-	Config:  "pre-index engine: ancestor climbs, unbounded word-LCS, no memo, sequential",
-	NsPerOp: 34_200_000,
-	Pairs:   318,
-	R1:      5547,
-	R2:      4208,
-	Total:   9755,
-	Notes:   "recorded before the performance layer landed; the seed common() no longer exists to re-run",
 }
 
 // docPerfPair names the pair matchingPerfPair returns.
@@ -112,7 +84,6 @@ func CollectMatchingPerf(iters, slots int) (*MatchingPerfReport, error) {
 	report := &MatchingPerfReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Before:     SeedMatchingBaseline,
 	}
 	for _, cfg := range configs {
 		run := MatchingPerfRun{Name: cfg.name, Pair: cfg.pair, Config: cfg.desc}
@@ -142,17 +113,5 @@ func CollectMatchingPerf(iters, slots int) (*MatchingPerfReport, error) {
 		run.NsPerOp = times[len(times)/2]
 		report.After = append(report.After, run)
 	}
-	if seq := report.After[0].NsPerOp; seq > 0 {
-		report.SpeedupX = float64(report.Before.NsPerOp) / float64(seq)
-	}
 	return report, nil
-}
-
-// WriteMatchingPerf writes the report as indented JSON to path.
-func (r *MatchingPerfReport) WriteMatchingPerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

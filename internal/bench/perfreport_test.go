@@ -3,12 +3,12 @@ package bench
 import "testing"
 
 // TestCollectMatchingPerf runs the matchperf collector with trimmed
-// multi-label pairs and checks the report: one row per pair, and the
-// document row reproduces the recorded seed's matching size and r1 (the
-// seed charged r2 differently). The collector itself fails when a row
-// executes a different number of leaf compares than it counts
-// (EffectiveLeafCompares != LeafCompares). The full measurement runs
-// via cmd/experiments -run matchperf.
+// multi-label pairs and checks the report: one non-empty row per pair.
+// The collector itself fails when a row executes a different number of
+// leaf compares than it counts (EffectiveLeafCompares != LeafCompares).
+// The full measurement runs via cmd/experiments -run matchperf, and
+// TestCommittedReportsReproduce there holds its counters to the
+// committed BENCH_matching.json.
 func TestCollectMatchingPerf(t *testing.T) {
 	report, err := CollectMatchingPerf(3, 40)
 	if err != nil {
@@ -26,10 +26,5 @@ func TestCollectMatchingPerf(t *testing.T) {
 	}
 	if len(byPair) != 3 || len(report.After) != 3 {
 		t.Errorf("%d rows over %d pairs, want 3 over 3", len(report.After), len(byPair))
-	}
-	seed, doc := report.Before, byPair[report.Before.Pair]
-	if doc.Pairs != seed.Pairs || doc.R1 != seed.R1 {
-		t.Errorf("document pair: pairs/r1 = %d/%d, the seed recorded %d/%d",
-			doc.Pairs, doc.R1, seed.Pairs, seed.R1)
 	}
 }

@@ -4,9 +4,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -209,13 +207,4 @@ func CollectQualityPerf(reps int, sections []int) (*QualityPerfReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// WriteQualityPerf writes the report as indented JSON to path.
-func (r *QualityPerfReport) WriteQualityPerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

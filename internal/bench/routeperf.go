@@ -1,26 +1,20 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"time"
 
-	"ladiff/internal/gen"
 	"ladiff/internal/route"
 	"ladiff/internal/server"
 	"ladiff/internal/store"
-	"ladiff/internal/textdoc"
 )
 
 // RoutePerfScenario is one replay of the zipf diff workload through
@@ -173,7 +167,6 @@ func CollectRoutePerf(pairs, requests, window int) (*RoutePerfReport, error) {
 	if window <= 0 {
 		window = 200
 	}
-	const zipfS = 1.2
 	report := &RoutePerfReport{
 		Benchmark:  "routeperf",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -183,18 +176,11 @@ func CollectRoutePerf(pairs, requests, window int) (*RoutePerfReport, error) {
 		ZipfS:      zipfS,
 	}
 
-	// The same pre-rendered bodies and zipf order as the E13 cache
-	// experiment, extended by the measurement window, so every scenario
-	// serves the identical stream.
-	bodies, err := routePerfBodies(pairs)
+	// The E13 cache workload, extended by the measurement window, so
+	// every scenario serves the identical stream.
+	bodies, order, err := zipfWorkload(pairs, requests+window)
 	if err != nil {
 		return nil, err
-	}
-	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, zipfS, 1, uint64(pairs-1))
-	order := make([]int, requests+window)
-	for i := range order {
-		order[i] = int(zipf.Uint64())
 	}
 
 	for _, sc := range []struct {
@@ -226,27 +212,6 @@ func CollectRoutePerf(pairs, requests, window int) (*RoutePerfReport, error) {
 		report.RetainedHitRatio = killed.WindowHitRate / steady.WindowHitRate
 	}
 	return report, nil
-}
-
-func routePerfBodies(pairs int) ([][]byte, error) {
-	bodies := make([][]byte, pairs)
-	for i := range bodies {
-		doc := gen.Document(gen.DocParams{Seed: int64(1000 + i), Sections: 6})
-		pert, err := gen.Perturb(doc, gen.Mix(int64(2000+i), 12))
-		if err != nil {
-			return nil, fmt.Errorf("bench: routeperf pair %d: %w", i, err)
-		}
-		body, err := json.Marshal(server.DiffRequest{
-			Old:    textdoc.Render(doc),
-			New:    textdoc.Render(pert.New),
-			Format: "text",
-		})
-		if err != nil {
-			return nil, err
-		}
-		bodies[i] = body
-	}
-	return bodies, nil
 }
 
 func runRouteScenario(name string, replicas int, kill bool, bodies [][]byte, order, window []int) (RoutePerfScenario, error) {
@@ -293,7 +258,7 @@ func runRouteScenario(name string, replicas int, kill bool, bodies [][]byte, ord
 	// Warm up, and learn which replica the hottest body routes to —
 	// that replica is the kill victim, so the kill provably disturbs
 	// the hot end of the zipf distribution.
-	victimURL, status, err := postRouteRequest(client, front.URL, bodies[0])
+	status, victimURL, err := postDiff(client, front.URL, bodies[0])
 	if err != nil || status != http.StatusOK {
 		return res, fmt.Errorf("warmup: status %d, err %v", status, err)
 	}
@@ -325,7 +290,7 @@ func runRouteScenario(name string, replicas int, kill bool, bodies [][]byte, ord
 			res.RecoveryMS = time.Since(t0).Milliseconds()
 		}
 		t0 := time.Now()
-		_, status, err := postRouteRequest(client, front.URL, bodies[idx])
+		status, _, err := postDiff(client, front.URL, bodies[idx])
 		d := time.Since(t0)
 		busy += d
 		latencies = append(latencies, d.Microseconds())
@@ -360,7 +325,7 @@ func runRouteScenario(name string, replicas int, kill bool, bodies [][]byte, ord
 		res.CacheHitRate = float64(h0) / float64(traffic)
 	}
 	for _, idx := range window {
-		if _, status, err := postRouteRequest(client, front.URL, bodies[idx]); err != nil || status != http.StatusOK {
+		if status, _, err := postDiff(client, front.URL, bodies[idx]); err != nil || status != http.StatusOK {
 			res.Errors++
 		}
 	}
@@ -390,23 +355,4 @@ func waitAlive(rt *route.Router, url string, timeout time.Duration) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("replica %s not re-admitted within %s", url, timeout)
-}
-
-func postRouteRequest(client *http.Client, url string, body []byte) (replica string, status int, err error) {
-	resp, err := client.Post(url+"/v1/diff", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.Header.Get("X-Route-Replica"), resp.StatusCode, nil
-}
-
-// WriteRoutePerf writes the report as indented JSON to path.
-func (r *RoutePerfReport) WriteRoutePerf(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -149,6 +149,64 @@ func TestCheckpointIntervalEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckoutReplayDepth pins what checkpoints buy: a checkout replays
+// one inverse script per version between it and the nearest snapshot at
+// or above it. One 65-version chain (a set-A document of the
+// experiments harness, then four perturbations a step) goes into a plain
+// store, whose head is its only snapshot, and into one that snapshots
+// every 8 versions. A checkout at depth d below the head replays d
+// scripts in the plain store, and in the other one the distance up to
+// the next multiple of 8 or to the head.
+func TestCheckoutReplayDepth(t *testing.T) {
+	ctx := context.Background()
+	plain := New(Config{CheckpointEvery: -1})
+	defer plain.Close()
+	checkpointed := New(Config{CheckpointEvery: 8})
+	defer checkpointed.Close()
+	doc := gen.Document(gen.DocParams{Seed: 101, Sections: 4, MinParagraphs: 3, MaxParagraphs: 5,
+		MinSentences: 4, MaxSentences: 8, Vocabulary: 3000})
+	const head = 65
+	for i := 0; ; i++ {
+		ingestTree(t, plain, "doc", doc)
+		ingestTree(t, checkpointed, "doc", doc)
+		if i == head-1 {
+			break
+		}
+		p, err := gen.Perturb(doc, gen.Mix(101000+int64(i), 4))
+		if err != nil {
+			t.Fatalf("perturb step %d: %v", i, err)
+		}
+		doc = p.New
+	}
+	for _, s := range []*Store{plain, checkpointed} {
+		// A rebase would add snapshots of its own.
+		if st := s.Stats(); st.VersionsTotal != head || st.RebasesTotal != 0 {
+			t.Fatalf("%d versions, %d rebases; want %d and 0", st.VersionsTotal, st.RebasesTotal, head)
+		}
+	}
+	replays := func(s *Store, v int) int64 {
+		before := s.Stats().CheckoutReplayOps
+		if _, _, err := s.Checkout(ctx, "doc", v); err != nil {
+			t.Fatalf("checkout v%d: %v", v, err)
+		}
+		return s.Stats().CheckoutReplayOps - before
+	}
+	for _, c := range []struct {
+		depth               int
+		plain, checkpointed int64
+	}{
+		{1, 1, 0}, {4, 4, 3}, {8, 8, 7}, {16, 16, 7}, {32, 32, 7}, {64, 64, 7},
+	} {
+		v := head - c.depth
+		if got := replays(plain, v); got != c.plain {
+			t.Errorf("plain store, v%d (depth %d): %d replays, want %d", v, c.depth, got, c.plain)
+		}
+		if got := replays(checkpointed, v); got != c.checkpointed {
+			t.Errorf("checkpointed store, v%d (depth %d): %d replays, want %d", v, c.depth, got, c.checkpointed)
+		}
+	}
+}
+
 // TestComposeDiff: a diff composed from the stored chain transforms the
 // from-version into the to-version exactly, in both directions.
 func TestComposeDiff(t *testing.T) {
