@@ -82,6 +82,8 @@ func main() {
 		fault.Activate(plan)
 		logger.Warn("fault injection armed; this daemon will fail on purpose", "spec", *faultSpec)
 	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if *routeReplicas != "" {
 		var reps []string
 		for _, u := range strings.Split(*routeReplicas, ",") {
@@ -99,9 +101,7 @@ func main() {
 			MaxBodyBytes:  *maxBody,
 			Logger:        logger,
 		}
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		if err := serveRoute(*addr, rcfg, *drainTimeout, logger, stop, nil); err != nil {
+		if err := serve(router(rcfg), *addr, "", *drainTimeout, logger, stop, nil); err != nil {
 			logger.Error("ladiffd routing tier failed", "error", err)
 			os.Exit(1)
 		}
@@ -149,85 +149,60 @@ func main() {
 		MaxFeeds:         *storeMaxFeeds,
 		Logger:           logger,
 	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := serve(*addr, *debugAddr, cfg, *drainTimeout, logger, stop, nil); err != nil {
+	if err := serve(replica(cfg), *addr, *debugAddr, *drainTimeout, logger, stop, nil); err != nil {
 		logger.Error("ladiffd failed", "error", err)
 		os.Exit(1)
 	}
 }
 
-// serveRoute runs the routing tier until a signal arrives on stop,
-// then drains: /readyz flips to 503 so load balancers stop sending,
-// probers stop, open feed streams are severed, admitted requests finish
-// within drainTimeout, and the listener closes. ready works as in
-// serve.
-func serveRoute(addr string, rcfg route.Config, drainTimeout time.Duration, logger *slog.Logger, stop <-chan os.Signal, ready chan<- string) error {
-	rt := route.New(rcfg)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("service listener: %w", err)
-	}
-	hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-	logger.Info("ladiffd routing tier listening", "addr", ln.Addr().String(), "replicas", len(rcfg.Replicas))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	select {
-	case sig := <-stop:
-		logger.Info("shutting down", "signal", fmt.Sprint(sig))
-	case err := <-errc:
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	// Drain the router first (refuse new work, wait out in-flight
-	// proxies, stop probers), then close the HTTP side.
-	if err := rt.Shutdown(ctx); err != nil {
-		logger.Warn("drain incomplete", "error", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	logger.Info("shutdown complete")
-	return nil
+// service is one way ladiffd serves: its handler, the drain that
+// refuses new work and waits out admitted work, an optional debug
+// handler, and the log line that announces the listener.
+type service struct {
+	handler http.Handler
+	drain   func(context.Context) error
+	debug   http.Handler // served on the debug address; nil serves none
+	name    string       // message of the listening log line
+	attrs   []any        // attributes of that line after the address
 }
 
-// serve runs the service until a signal arrives on stop, then drains
-// gracefully: admitted requests finish (bounded by drainTimeout), new
-// ones are refused, and the listeners close. ready, when non-nil,
+// replica serves the diff pipeline, and the document store when cfg has
+// one; pprof and the trace ring go on the debug listener.
+func replica(cfg server.Config) service {
+	srv := server.New(cfg)
+	return service{srv.Handler(), srv.Shutdown, srv.DebugHandler(), "ladiffd listening", nil}
+}
+
+// router serves the routing tier over cfg.Replicas. Its drain flips
+// /readyz to 503 so load balancers stop sending, stops the probers and
+// severs open feed streams before it waits out admitted requests.
+func router(cfg route.Config) service {
+	rt := route.New(cfg)
+	return service{rt.Handler(), rt.Shutdown, nil, "ladiffd routing tier listening",
+		[]any{"replicas", len(cfg.Replicas)}}
+}
+
+// serve runs svc until a signal arrives on stop, then drains
+// gracefully: new requests are refused, admitted ones finish (bounded
+// by drainTimeout), and the listeners close. svc's debug handler, if
+// any, listens on debugAddr unless it is empty. ready, when non-nil,
 // receives the bound service address once listening — how tests using
 // port 0 learn where to connect.
-func serve(addr, debugAddr string, cfg server.Config, drainTimeout time.Duration, logger *slog.Logger, stop <-chan os.Signal, ready chan<- string) error {
-	srv := server.New(cfg)
-
+func serve(svc service, addr, debugAddr string, drainTimeout time.Duration, logger *slog.Logger, stop <-chan os.Signal, ready chan<- string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("service listener: %w", err)
 	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Handler: svc.handler, ReadHeaderTimeout: 10 * time.Second}
 
 	var dbg *http.Server
-	if debugAddr != "" {
+	if svc.debug != nil && debugAddr != "" {
 		dln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		dbg = &http.Server{Handler: srv.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}
+		dbg = &http.Server{Handler: svc.debug, ReadHeaderTimeout: 10 * time.Second}
 		go func() { _ = dbg.Serve(dln) }()
 		logger.Info("debug listener up", "addr", dln.Addr().String())
 	}
@@ -240,7 +215,7 @@ func serve(addr, debugAddr string, cfg server.Config, drainTimeout time.Duration
 		}
 		errc <- nil
 	}()
-	logger.Info("ladiffd listening", "addr", ln.Addr().String())
+	logger.Info(svc.name, append([]any{"addr", ln.Addr().String()}, svc.attrs...)...)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -254,9 +229,9 @@ func serve(addr, debugAddr string, cfg server.Config, drainTimeout time.Duration
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	// Drain the diff pipeline first (refuse new work, wait for
-	// in-flight requests), then close the HTTP side.
-	if err := srv.Shutdown(ctx); err != nil {
+	// Drain first (refuse new work, wait for in-flight requests), then
+	// close the HTTP side.
+	if err := svc.drain(ctx); err != nil {
 		logger.Warn("drain incomplete", "error", err)
 	}
 	if dbg != nil {

@@ -29,7 +29,7 @@ func TestServeLifecycle(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- serve("127.0.0.1:0", "127.0.0.1:0", server.Config{Logger: logger}, 5*time.Second, logger, stop, ready)
+		done <- serve(replica(server.Config{Logger: logger}), "127.0.0.1:0", "127.0.0.1:0", 5*time.Second, logger, stop, ready)
 	}()
 	var addr string
 	select {
@@ -103,11 +103,11 @@ func TestServeRouteLifecycle(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- serveRoute("127.0.0.1:0", route.Config{
+		done <- serve(router(route.Config{
 			Replicas:      []string{rep.URL},
 			ProbeInterval: 25 * time.Millisecond,
 			Logger:        logger,
-		}, 5*time.Second, logger, stop, ready)
+		}), "127.0.0.1:0", "", 5*time.Second, logger, stop, ready)
 	}()
 	var addr string
 	select {

@@ -26,7 +26,7 @@ func bootStore(t *testing.T, st *store.Store) (string, chan os.Signal, chan erro
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- serve("127.0.0.1:0", "", server.Config{Store: st, Logger: logger},
+		done <- serve(replica(server.Config{Store: st, Logger: logger}), "127.0.0.1:0", "",
 			5*time.Second, logger, stop, ready)
 	}()
 	select {

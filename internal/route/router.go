@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ladiff/internal/fault"
+	"ladiff/internal/sched"
 )
 
 // Config tunes one Router. The zero value of every field has a default
@@ -106,9 +107,9 @@ type Router struct {
 	client *http.Client
 	met    metrics
 
-	mu       sync.RWMutex // guards draining; held (R) across inflight.Add
-	draining bool
-	inflight sync.WaitGroup
+	// gate is the drain discipline the replicas' scheduling core uses
+	// too: proxied requests register in it, and Shutdown waits them out.
+	gate sched.Gate
 
 	// pins remembers which replica owns each async job (see jobs.go).
 	pins jobPins
@@ -128,7 +129,7 @@ type metrics struct {
 	requests         atomic.Int64 // proxied API requests admitted for routing
 	relayed          atomic.Int64 // a replica response was passed through (any status)
 	noReplica        atomic.Int64 // no live replica to try → 503 no_replicas / owner_unavailable
-	failed           atomic.Int64 // every attempt failed in transport → 502
+	failed           atomic.Int64 // answered by the router: transport failure → 502, unreadable body → 400, body over MaxBodyBytes → 413
 	rejectedDraining atomic.Int64 // refused because the router is draining
 
 	attempts  atomic.Int64 // proxied attempts across all replicas
@@ -217,11 +218,7 @@ func (rt *Router) Snapshot() Snapshot {
 // BeginDrain flips the router into draining mode: /readyz starts
 // failing and new proxied requests are refused with 503, while
 // admitted ones (including open feed streams) run to completion.
-func (rt *Router) BeginDrain() {
-	rt.mu.Lock()
-	rt.draining = true
-	rt.mu.Unlock()
-}
+func (rt *Router) BeginDrain() { rt.gate.BeginDrain() }
 
 // Shutdown drains the router: it begins draining, stops the health
 // probers, severs proxied feed streams (their subscribers reconnect
@@ -232,18 +229,8 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.BeginDrain()
 	rt.stop()
 	rt.probeWG.Wait()
-	done := make(chan struct{})
-	go func() {
-		rt.inflight.Wait()
-		close(done)
-	}()
 	defer rt.client.CloseIdleConnections()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return rt.gate.Drain(ctx)
 }
 
 // writeError emits the API's error envelope, matching the replicas'
@@ -261,10 +248,7 @@ func (rt *Router) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, `{"status":"ok"}`)
 		return
 	case "/readyz":
-		rt.mu.RLock()
-		draining := rt.draining
-		rt.mu.RUnlock()
-		if draining {
+		if rt.gate.Draining() {
 			writeError(w, http.StatusServiceUnavailable, "draining", "router is draining")
 			return
 		}
@@ -283,19 +267,13 @@ func (rt *Router) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: the read lock spans the inflight Add so no admission
-	// can race Shutdown's Wait (same discipline as the server).
-	rt.mu.RLock()
-	if rt.draining {
-		rt.mu.RUnlock()
+	if !rt.gate.Begin() {
 		rt.met.rejectedDraining.Add(1)
 		rt.met.requests.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "draining", "router is draining")
 		return
 	}
-	rt.inflight.Add(1)
-	rt.mu.RUnlock()
-	defer rt.inflight.Done()
+	defer rt.gate.End()
 	rt.met.requests.Add(1)
 
 	body, err := readBody(r, rt.cfg.MaxBodyBytes)

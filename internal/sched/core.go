@@ -1,6 +1,7 @@
 // Package sched is the serving tier's scheduling core: the worker-slot
-// semaphore with its bounded wait queue, the drain discipline, and the
-// bounded TTL job store that the async diff API runs on. It was
+// semaphore with its bounded wait queue, the drain discipline (Gate,
+// which the routing tier shares), and the bounded TTL job store that
+// the async diff API runs on. It was
 // extracted from internal/server's admission machinery so that every
 // unit of work the daemon executes — single diffs, batch items, and
 // async jobs — competes for the same slots under the same overload and
@@ -31,10 +32,6 @@ import (
 // silently pile up behind the common case).
 var ErrQueueFull = errors.New("sched: admission queue full")
 
-// ErrDraining reports that the core refused new work because drain has
-// begun.
-var ErrDraining = errors.New("sched: draining")
-
 // Config tunes one Core.
 type Config struct {
 	// Slots bounds the number of units executing at once. Must be > 0.
@@ -48,24 +45,30 @@ type Config struct {
 	QueuedGauge *atomic.Int64
 }
 
-// Core is the shared admission controller: a semaphore with a bounded
-// wait queue plus the drain state that lets an embedder refuse new work
-// while waiting out what it already admitted. One Core is shared by
-// every consumer (single diffs, batch items, async jobs), so their
-// aggregate concurrency is bounded together.
-type Core struct {
-	slots    chan struct{}
-	maxQueue int64
-	queued   *atomic.Int64
-
-	// draining flips once at shutdown: new work is refused while units
-	// already registered run to completion. It is guarded by mu (not an
+// Gate is the drain discipline: it registers units of work as in flight
+// until drain begins, then refuses new ones while Drain waits out those
+// already registered. The zero value is an open gate. The server's Core
+// embeds one, and the routing tier holds its own.
+type Gate struct {
+	// draining flips once at shutdown. It is guarded by mu (not an
 	// atomic) so the inflight Add in Begin cannot race with Drain's
 	// Wait: once BeginDrain's write lock is granted, every later Begin
 	// sees draining and is refused.
 	mu       sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
+}
+
+// Core is the shared admission controller: a semaphore with a bounded
+// wait queue plus the drain Gate that lets an embedder refuse new work
+// while waiting out what it already admitted. One Core is shared by
+// every consumer (single diffs, batch items, async jobs), so their
+// aggregate concurrency is bounded together.
+type Core struct {
+	Gate
+	slots    chan struct{}
+	maxQueue int64
+	queued   *atomic.Int64
 }
 
 // New returns a Core for cfg. Slots <= 0 panics — a zero-slot core
@@ -121,46 +124,46 @@ func (c *Core) Acquire(ctx context.Context) error {
 // Release frees an execution slot.
 func (c *Core) Release() { <-c.slots }
 
-// Begin registers one unit of work as in flight unless the core is
+// Begin registers one unit of work as in flight unless the gate is
 // draining; every successful Begin must be paired with End. Holding the
 // read lock across the WaitGroup Add means no Add can race with Drain's
 // Wait.
-func (c *Core) Begin() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.draining {
+func (g *Gate) Begin() bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if g.draining {
 		return false
 	}
-	c.inflight.Add(1)
+	g.inflight.Add(1)
 	return true
 }
 
 // End retires one unit registered by Begin.
-func (c *Core) End() { c.inflight.Done() }
+func (g *Gate) End() { g.inflight.Done() }
 
-// BeginDrain flips the core into draining mode: Begin starts refusing
+// BeginDrain flips the gate into draining mode: Begin starts refusing
 // new work while units already in flight run to completion. Idempotent.
-func (c *Core) BeginDrain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+func (g *Gate) BeginDrain() {
+	g.mu.Lock()
+	g.draining = true
+	g.mu.Unlock()
 }
 
 // Draining reports whether BeginDrain has been called.
-func (c *Core) Draining() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.draining
+func (g *Gate) Draining() bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.draining
 }
 
 // Drain begins draining (if not already begun) and waits until every
 // in-flight unit has ended or ctx ends, returning ctx.Err() in the
 // latter case.
-func (c *Core) Drain(ctx context.Context) error {
-	c.BeginDrain()
+func (g *Gate) Drain(ctx context.Context) error {
+	g.BeginDrain()
 	done := make(chan struct{})
 	go func() {
-		c.inflight.Wait()
+		g.inflight.Wait()
 		close(done)
 	}()
 	select {

@@ -52,12 +52,11 @@ type BatchDiffResponse struct {
 // ambiguous to correlate).
 func (s *Server) validateBatch(req *BatchDiffRequest) *ItemError {
 	if len(req.Items) == 0 {
-		return &ItemError{Status: http.StatusBadRequest, Code: "bad_request",
-			Message: "batch has no items"}
+		return s.badRequest("batch has no items")
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		return &ItemError{Status: http.StatusRequestEntityTooLarge, Code: "too_many_items",
-			Message: fmt.Sprintf("batch has %d items; the limit is %d", len(req.Items), s.cfg.MaxBatchItems)}
+		return refuse(&s.met.RejectedSize, http.StatusRequestEntityTooLarge, "too_many_items",
+			fmt.Sprintf("batch has %d items; the limit is %d", len(req.Items), s.cfg.MaxBatchItems))
 	}
 	var total int64
 	seen := make(map[string]struct{}, len(req.Items))
@@ -68,39 +67,24 @@ func (s *Server) validateBatch(req *BatchDiffRequest) *ItemError {
 			continue
 		}
 		if _, dup := seen[it.ID]; dup {
-			return &ItemError{Status: http.StatusBadRequest, Code: "bad_request",
-				Message: fmt.Sprintf("duplicate item id %q", it.ID)}
+			return s.badRequest(fmt.Sprintf("duplicate item id %q", it.ID))
 		}
 		seen[it.ID] = struct{}{}
 	}
 	if total > s.cfg.MaxBatchBytes {
-		return &ItemError{Status: http.StatusRequestEntityTooLarge, Code: "batch_too_large",
-			Message: fmt.Sprintf("batch documents total %d bytes; the limit is %d", total, s.cfg.MaxBatchBytes)}
+		return refuse(&s.met.RejectedSize, http.StatusRequestEntityTooLarge, "batch_too_large",
+			fmt.Sprintf("batch documents total %d bytes; the limit is %d", total, s.cfg.MaxBatchBytes))
 	}
 	return nil
 }
 
-func (s *Server) handleDiffBatch(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDiffBatch(w http.ResponseWriter, r *http.Request) *ItemError {
 	var req BatchDiffRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if ierr := s.readJSON(w, r, &req); ierr != nil {
+		return ierr
 	}
 	if ierr := s.validateBatch(&req); ierr != nil {
-		if ierr.Status == http.StatusBadRequest {
-			s.met.BadRequests.Add(1)
-		} else {
-			s.met.RejectedSize.Add(1)
-		}
-		writeError(w, ierr.Status, ierr.Code, ierr.Message)
-		return
+		return ierr
 	}
 	s.met.BatchRequests.Add(1)
 	s.met.BatchItems.Add(int64(len(req.Items)))
@@ -141,14 +125,14 @@ func (s *Server) handleDiffBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // runBatchItem executes one item exactly as POST /v1/diff would run the
-// same body: validate, acquire a slot (bounded queue and all), start
-// the per-item deadline at admission, execute the pipeline. Every
-// metric a single request would bump is bumped here by the shared
-// helpers, so a batch of N counts like N requests (minus the one
-// requests_total, which counts HTTP envelopes).
+// same body: validate, enter a worker slot (bounded queue, deadline and
+// all), execute the pipeline. Every metric a single request would bump
+// is bumped here by the shared helpers, so a batch of N counts like N
+// requests (minus the one requests_total, which counts HTTP envelopes).
 func (s *Server) runBatchItem(rctx context.Context, item BatchDiffItem) BatchItemResult {
 	res := BatchItemResult{ID: item.ID}
 	plan, ierr := s.planDiff(item.DiffRequest)
@@ -156,22 +140,12 @@ func (s *Server) runBatchItem(rctx context.Context, item BatchDiffItem) BatchIte
 		res.Error = ierr
 		return res
 	}
-	if ierr := s.acquireSlot(rctx); ierr != nil {
-		res.Error = ierr
-		return res
-	}
-	defer s.core.Release()
-	ctx, cancel := context.WithTimeout(rctx, s.timeout(item.TimeoutMs))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
-
-	resp, ierr := s.executeDiff(ctx, plan)
+	ctx, cancel, ierr := s.enter(rctx, s.timeout(item.TimeoutMs))
 	if ierr != nil {
 		res.Error = ierr
 		return res
 	}
-	res.Response = resp
+	defer s.leave(cancel)
+	res.Response, res.Error = s.executeDiff(ctx, plan)
 	return res
 }

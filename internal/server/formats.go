@@ -2,76 +2,70 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"ladiff"
 	"ladiff/internal/store"
 )
 
-// Formats is the list of parser front ends /v1/diff, /v1/patch, and the
-// document-store endpoints accept — one canonical list, owned by
-// internal/store (whose persistence replay depends on these parsers'
-// determinism). "json" diffs arbitrary JSON documents structurally
-// (jsondoc); "tree" is the generic indented wire format of
-// (*Tree).String, the domain-agnostic entry for object hierarchies and
-// database dumps.
-var Formats = store.Formats
-
-// Outputs is the list of render back ends /v1/diff supports: the raw
-// edit-script operations, the delta-tree JSON of internal/delta (the
-// one wire format shared with the -json CLI flag), or a marked-up
-// document in the input format's own markup conventions.
+// Outputs is the list of render back ends /v1/diff and
+// /v1/docs/{key}/diff support: the raw edit-script operations, the
+// delta-tree JSON of internal/delta (the one wire format shared with the
+// -json CLI flag), or a marked-up document in the input format's own
+// markup conventions.
 var Outputs = []string{"script", "delta", "marked"}
 
-// parseDoc parses src in the named format into a document tree, with
-// lim enforced while the tree is built — a pathological document aborts
-// at the limit (ladiff.ErrLimit) instead of materializing a huge tree
-// that is measured afterwards.
-func parseDoc(format, src string, lim ladiff.ParseLimits) (*ladiff.Tree, error) {
-	return store.ParseDoc(format, src, lim)
-}
-
-// renderDoc renders a document tree back into the named format, the
-// inverse of parseDoc used by /v1/patch to return patched documents.
-func renderDoc(format string, t *ladiff.Tree) (string, error) {
-	return store.RenderDoc(format, t)
-}
-
-// renderMarked renders a delta tree as a marked-up document in the
-// input format's conventions: the paper's Table 2 markup for LaTeX,
-// <ins>/<del>/<em> with move anchors for HTML, and the +/-/~ annotated
-// change report for everything else (text, xml, json, tree — formats
-// without a native markup vocabulary).
-func renderMarked(format string, dt *ladiff.DeltaTree) string {
-	switch format {
-	case "latex":
-		return ladiff.RenderLatex(dt)
-	case "html":
-		return ladiff.RenderHTMLDelta(dt)
-	default:
-		return ladiff.RenderTextDelta(dt)
+// checkFormat refuses a request naming a parser front end outside
+// store.Formats — the one list /v1/diff, /v1/patch and the document
+// endpoints accept, owned by internal/store because its persistence
+// replay depends on these parsers' determinism.
+func (s *Server) checkFormat(format string) *ItemError {
+	if store.ValidFormat(format) {
+		return nil
 	}
+	return s.badRequest(fmt.Sprintf("unknown format %q (want one of %v)", format, store.Formats))
 }
 
-// validFormat reports whether format names a known parser front end.
-func validFormat(format string) bool {
-	return store.ValidFormat(format)
-}
-
-// validOutput reports whether output names a known render back end.
-func validOutput(output string) bool {
+// checkOutput resolves a requested render back end, empty meaning
+// "script", and refuses one outside Outputs.
+func (s *Server) checkOutput(output string) (string, *ItemError) {
+	if output == "" {
+		return "script", nil
+	}
 	for _, o := range Outputs {
 		if o == output {
-			return true
+			return output, nil
 		}
 	}
-	return false
+	return "", s.badRequest(fmt.Sprintf("unknown output %q (want one of %v)", output, Outputs))
 }
 
-// marshalDelta encodes a delta tree in the shared wire format.
-func marshalDelta(dt *ladiff.DeltaTree) (json.RawMessage, error) {
-	data, err := json.Marshal(dt)
-	if err != nil {
-		return nil, err
+// render produces a diff's requested output, exactly one of: the edit
+// script, the delta tree in the shared wire format, or the delta tree
+// marked up in format's conventions — the paper's Table 2 markup for
+// LaTeX, <ins>/<del>/<em> with move anchors for HTML, and the +/-/~
+// annotated change report for everything else (text, xml, json, tree —
+// formats without a native markup vocabulary).
+func render(res *ladiff.Result, format, output string) (ladiff.Script, json.RawMessage, string, error) {
+	if output == "script" {
+		return res.Script, nil, "", nil
 	}
-	return json.RawMessage(data), nil
+	dt, err := ladiff.BuildDelta(res)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("delta: %w", err)
+	}
+	switch {
+	case output == "delta":
+		raw, err := json.Marshal(dt)
+		if err != nil {
+			return nil, nil, "", fmt.Errorf("delta: %w", err)
+		}
+		return nil, raw, "", nil
+	case format == "latex":
+		return nil, nil, ladiff.RenderLatex(dt), nil
+	case format == "html":
+		return nil, nil, ladiff.RenderHTMLDelta(dt), nil
+	default:
+		return nil, nil, ladiff.RenderTextDelta(dt), nil
+	}
 }

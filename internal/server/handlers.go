@@ -8,12 +8,15 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"ladiff"
 	"ladiff/internal/fault"
+	"ladiff/internal/lderr"
 	"ladiff/internal/obs"
 	"ladiff/internal/sched"
+	"ladiff/internal/store"
 )
 
 // DiffRequest is the body of POST /v1/diff.
@@ -22,7 +25,7 @@ type DiffRequest struct {
 	// Format's syntax.
 	Old string `json:"old"`
 	New string `json:"new"`
-	// Format selects the parser front end; see Formats.
+	// Format selects the parser front end; see store.Formats.
 	Format string `json:"format"`
 	// Output selects the render back end; see Outputs. Empty means
 	// "script".
@@ -114,11 +117,11 @@ type errorDetail struct {
 	Message string `json:"message"`
 }
 
-// ItemError is the shared failure envelope of the scheduling core's
-// consumers: the code and message match what the single-request path
-// puts in its error envelope, and Status is the HTTP status the same
-// failure would have produced on /v1/diff — so a batch item or an async
-// job fails exactly like the equivalent single request.
+// ItemError is the one failure envelope: every refusal and failure —
+// of a whole request, a batch item or an async job — is built as one,
+// and writeItemError writes it as a response. A batch item or job
+// carries the status, code and message the same request would have
+// failed with on /v1/diff.
 type ItemError struct {
 	Status  int    `json:"status"`
 	Code    string `json:"code"`
@@ -158,103 +161,163 @@ func writeHeader(w http.ResponseWriter, status int) bool {
 	return true
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: msg}})
+// writeItemError writes one failure envelope as the whole response. It
+// is the one writer of error responses and the one place that sets
+// Retry-After: on every 429 and on 503 over_budget, the refusals a
+// client should retry after backing off.
+func writeItemError(w http.ResponseWriter, ierr *ItemError) {
+	if ierr.Status == http.StatusTooManyRequests ||
+		ierr.Status == http.StatusServiceUnavailable && ierr.Code == "over_budget" {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, ierr.Status, errorBody{Error: errorDetail{Code: ierr.Code, Message: ierr.Message}})
 }
 
-// beginRequest registers the request as in-flight with the scheduling
-// core unless the server is draining; endRequest retires it. The core
-// holds its drain flag under a lock spanning the in-flight Add, so no
-// Add can race with Shutdown's Wait: once BeginDrain is granted, every
-// later request sees draining and is refused.
-func (s *Server) beginRequest() bool { return s.core.Begin() }
+// refuse counts one failure in counter (nil counts none) and returns
+// its envelope.
+func refuse(counter *atomic.Int64, status int, code, msg string) *ItemError {
+	if counter != nil {
+		counter.Add(1)
+	}
+	return &ItemError{Status: status, Code: code, Message: msg}
+}
 
-func (s *Server) endRequest() { s.core.End() }
+// badRequest refuses a malformed request with a counted 400.
+func (s *Server) badRequest(msg string) *ItemError {
+	return refuse(&s.met.BadRequests, http.StatusBadRequest, "bad_request", msg)
+}
+
+// draining refuses a request that arrived while the server drains.
+func (s *Server) draining() *ItemError {
+	return refuse(&s.met.RejectedDraining, http.StatusServiceUnavailable, "draining", "server is draining")
+}
+
+var (
+	// errUnknownJob is a poll or cancel of a job id the job store does
+	// not hold; it is not found like an unknown document key.
+	errUnknownJob = errors.New("unknown job id (finished jobs expire)")
+	// errRebaseBoundary is a composed version diff across a rebase,
+	// where no delta chain joins the versions.
+	errRebaseBoundary = errors.New("no contiguous delta chain between the versions (rebase boundary); use mode=rediff")
+)
+
+// fail is the one map from a pipeline, parse or store failure to its
+// envelope and its one counter, so a failure fails alike on /v1/diff,
+// in a batch item or job, and on the document-store endpoints:
+//
+//	404 not_found          unknown document, version or job id    bad_requests_total
+//	409 format_mismatch    ingest in another format than the doc  bad_requests_total
+//	409 rebase_boundary    compose across a rebase                bad_requests_total
+//	503 store_unavailable  store closed or its log broken         errors_total
+//	400 parse_error        ErrParse                               bad_requests_total
+//	413 tree_too_large     ErrLimit                               rejected_size_total
+//	504 deadline_exceeded  ErrCanceled                            timeouts_total
+//	503 over_budget        ErrDegraded                            errors_total
+//	500 internal           ErrInternal and anything unclassified  errors_total
+func (s *Server) fail(err error) *ItemError {
+	status, code, counter := http.StatusInternalServerError, "internal", &s.met.Errors
+	switch {
+	case errors.Is(err, store.ErrUnknownKey), errors.Is(err, store.ErrUnknownVersion), errors.Is(err, errUnknownJob):
+		status, code, counter = http.StatusNotFound, "not_found", &s.met.BadRequests
+	case errors.Is(err, store.ErrFormatMismatch):
+		status, code, counter = http.StatusConflict, "format_mismatch", &s.met.BadRequests
+	case errors.Is(err, errRebaseBoundary):
+		status, code, counter = http.StatusConflict, "rebase_boundary", &s.met.BadRequests
+	case errors.Is(err, store.ErrClosed), errors.Is(err, store.ErrLogBroken):
+		status, code = http.StatusServiceUnavailable, "store_unavailable"
+	default:
+		switch lderr.KindOf(err) {
+		case lderr.ErrParse:
+			status, code, counter = http.StatusBadRequest, "parse_error", &s.met.BadRequests
+		case lderr.ErrLimit:
+			status, code, counter = http.StatusRequestEntityTooLarge, "tree_too_large", &s.met.RejectedSize
+		case lderr.ErrCanceled:
+			status, code, counter = http.StatusGatewayTimeout, "deadline_exceeded", &s.met.Timeouts
+		case lderr.ErrDegraded:
+			status, code = http.StatusServiceUnavailable, "over_budget"
+		}
+	}
+	return refuse(counter, status, code, err.Error())
+}
 
 // readJSON reads the (size-capped) body into a pooled buffer and
-// decodes it, writing the appropriate error response on failure.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	buf, ok := s.readBody(w, r)
-	if !ok {
-		return false
+// decodes it into dst.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) *ItemError {
+	buf, ierr := s.readBody(w, r)
+	if ierr != nil {
+		return ierr
 	}
 	defer putBuf(buf)
-	return s.decodeJSON(w, buf.Bytes(), dst)
+	return s.decodeJSON(buf.Bytes(), dst)
 }
 
 // readBody reads the (size-capped) body into a pooled buffer, which the
-// caller returns with putBuf, writing the appropriate error response on
-// failure.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+// caller returns with putBuf.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, *ItemError) {
 	buf := getBuf()
 	body := fault.Reader(fault.ServerRead, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if _, err := buf.ReadFrom(body); err != nil {
 		putBuf(buf)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.met.RejectedSize.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			return nil, refuse(&s.met.RejectedSize, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		} else {
-			s.met.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_request", "error reading request body")
 		}
-		return nil, false
+		return nil, s.badRequest("error reading request body")
 	}
-	return buf, true
+	return buf, nil
 }
 
-// decodeJSON decodes a request body, writing 400 if it is malformed.
-func (s *Server) decodeJSON(w http.ResponseWriter, body []byte, dst any) bool {
+// decodeJSON decodes a request body, refusing a malformed one.
+func (s *Server) decodeJSON(body []byte, dst any) *ItemError {
 	if err := json.Unmarshal(body, dst); err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
-		return false
+		return s.badRequest("malformed JSON: " + err.Error())
 	}
-	return true
+	return nil
 }
 
-// admit runs the scheduling core's admission and translates its
-// failures to HTTP. On success the caller owns one slot and must call
-// s.core.Release().
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	ierr := s.acquireSlot(r.Context())
-	if ierr != nil {
-		if ierr.Status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
+// enter admits one unit of work that holds a worker slot — a /v1/diff
+// request (a body-level cache hit too), a patch, a document ingest,
+// checkout or diff, or a batch item — and leave retires it. enter takes
+// a slot from the scheduling core, waiting in its bounded queue, and
+// counts the unit in flight. It starts the unit's deadline d before the
+// test gate, so a gated unit's context provably expires while the gate
+// is held; a body hit passes 0 and starts no timer. A refused unit
+// holds nothing and gets its envelope, counted. Jobs do not come
+// through here: the job store takes their slots.
+func (s *Server) enter(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc, *ItemError) {
+	if err := s.core.Acquire(ctx); err != nil {
+		switch {
+		case errors.Is(err, sched.ErrQueueFull):
+			return nil, nil, refuse(&s.met.RejectedQueue, http.StatusTooManyRequests, "queue_full",
+				"server at capacity; retry after backoff")
+		case errors.Is(err, fault.ErrInjected):
+			// A chaos-injected admission failure is a server-side error,
+			// not a client cancellation; it must land in the error counter
+			// so exactly-once accounting holds through a fault storm.
+			return nil, nil, refuse(&s.met.Errors, http.StatusInternalServerError, "internal",
+				"admission failed: "+err.Error())
 		}
-		writeError(w, ierr.Status, ierr.Code, ierr.Message)
-		return false
+		// The client went away while queued; the response is moot.
+		return nil, nil, refuse(nil, http.StatusServiceUnavailable, "cancelled", "request cancelled while queued")
 	}
-	return true
+	var cancel context.CancelFunc
+	if d > 0 {
+		ctx, cancel = context.WithTimeout(ctx, d)
+	}
+	s.met.InFlight.Add(1)
+	s.waitTestGate()
+	return ctx, cancel, nil
 }
 
-// acquireSlot takes one execution slot from the scheduling core,
-// mapping failures to the per-item error envelope (the single-request
-// path writes it via admit; batch items embed it). Metric accounting
-// happens here so a batch item's rejection counts exactly like a
-// single request's.
-func (s *Server) acquireSlot(ctx context.Context) *ItemError {
-	err := s.core.Acquire(ctx)
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, sched.ErrQueueFull):
-		s.met.RejectedQueue.Add(1)
-		return &ItemError{Status: http.StatusTooManyRequests, Code: "queue_full",
-			Message: "server at capacity; retry after backoff"}
-	case errors.Is(err, fault.ErrInjected):
-		// A chaos-injected admission failure is a server-side error, not
-		// a client cancellation; it must land in the error counter so
-		// exactly-once accounting holds through a fault storm.
-		s.met.Errors.Add(1)
-		return &ItemError{Status: http.StatusInternalServerError, Code: "internal",
-			Message: "admission failed: " + err.Error()}
-	default:
-		// The client went away while queued; the response is moot.
-		return &ItemError{Status: http.StatusServiceUnavailable, Code: "cancelled",
-			Message: "request cancelled while queued"}
+// leave retires a unit enter admitted: it stops the unit's deadline, if
+// it has one, and gives its slot back.
+func (s *Server) leave(cancel context.CancelFunc) {
+	s.met.InFlight.Add(-1)
+	if cancel != nil {
+		cancel()
 	}
+	s.core.Release()
 }
 
 // timeout resolves a request's deadline from its TimeoutMs field and
@@ -263,78 +326,16 @@ func (s *Server) timeout(ms int) time.Duration {
 	return sched.Timeout(time.Duration(ms)*time.Millisecond, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 }
 
-// pipelineError maps a mid-pipeline error through the error taxonomy
-// to the shared failure envelope: 504 for cancellation/deadline, 503
-// for a work budget exhausted with no fallback left, 500 for internal
-// errors and anything unclassified. Metric accounting happens here so
-// every consumer (single diff, batch item, async job) counts failures
-// identically.
-func (s *Server) pipelineError(err error) *ItemError {
-	switch ladiff.ErrorKind(err) {
-	case ladiff.ErrCanceled:
-		s.met.Timeouts.Add(1)
-		return &ItemError{Status: http.StatusGatewayTimeout, Code: "deadline_exceeded", Message: err.Error()}
-	case ladiff.ErrDegraded:
-		s.met.Errors.Add(1)
-		return &ItemError{Status: http.StatusServiceUnavailable, Code: "over_budget", Message: err.Error()}
-	default:
-		s.met.Errors.Add(1)
-		return &ItemError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
-	}
-}
-
-// failPipeline writes the response for a mid-pipeline error.
-func (s *Server) failPipeline(w http.ResponseWriter, err error) {
-	s.writeItemError(w, s.pipelineError(err))
-}
-
-// writeItemError writes one failure envelope as a whole-request error
-// response, preserving the single-request wire contract (Retry-After
-// on 503 over_budget and 429 queue_full).
-func (s *Server) writeItemError(w http.ResponseWriter, ierr *ItemError) {
-	if ierr.Status == http.StatusServiceUnavailable && ierr.Code == "over_budget" ||
-		ierr.Status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeError(w, ierr.Status, ierr.Code, ierr.Message)
-}
-
-// parseLimits is the per-document limit set every parse runs under:
-// node and depth guards enforced while the tree is built. (Body bytes
-// are already capped by MaxBytesReader before parsing.)
-func (s *Server) parseLimits() ladiff.ParseLimits {
-	return ladiff.ParseLimits{
-		MaxNodes: s.cfg.MaxTreeNodes,
-		MaxDepth: s.cfg.MaxTreeDepth,
-	}
-}
-
-// parseItem parses one document under the server limits, mapping
-// failures to the shared envelope: 413 for a violated limit (streaming
-// enforcement — the parse stops at the limit), 400 for a syntax error.
+// parseItem parses one document under the server's node and depth
+// limits, enforced while the tree is built so a pathological document
+// aborts at the limit; which names the document in a failure's message.
 func (s *Server) parseItem(which, format, src string) (*ladiff.Tree, *ItemError) {
-	t, err := parseDoc(format, src, s.parseLimits())
+	lim := ladiff.ParseLimits{MaxNodes: s.cfg.MaxTreeNodes, MaxDepth: s.cfg.MaxTreeDepth}
+	t, err := store.ParseDoc(format, src, lim)
 	if err != nil {
-		if errors.Is(err, ladiff.ErrLimit) {
-			s.met.RejectedSize.Add(1)
-			return nil, &ItemError{Status: http.StatusRequestEntityTooLarge, Code: "tree_too_large",
-				Message: fmt.Sprintf("%s document: %s", which, err.Error())}
-		}
-		s.met.BadRequests.Add(1)
-		return nil, &ItemError{Status: http.StatusBadRequest, Code: "parse_error",
-			Message: which + " document: " + err.Error()}
+		return nil, s.fail(fmt.Errorf("%s document: %w", which, err))
 	}
 	return t, nil
-}
-
-// parseChecked is parseItem writing the failure as the whole response.
-func (s *Server) parseChecked(w http.ResponseWriter, which, format, src string) (*ladiff.Tree, bool) {
-	t, ierr := s.parseItem(which, format, src)
-	if ierr != nil {
-		writeError(w, ierr.Status, ierr.Code, ierr.Message)
-		return nil, false
-	}
-	return t, true
 }
 
 // matcherFor maps the request's matcher name to the engine, resolving
@@ -365,41 +366,25 @@ type diffPlan struct {
 // item or job is rejected with exactly the envelope the single-request
 // path would produce.
 func (s *Server) planDiff(req DiffRequest) (diffPlan, *ItemError) {
-	if !validFormat(req.Format) {
-		s.met.BadRequests.Add(1)
-		return diffPlan{}, &ItemError{Status: http.StatusBadRequest, Code: "bad_request",
-			Message: fmt.Sprintf("unknown format %q (want one of %v)", req.Format, Formats)}
+	if ierr := s.checkFormat(req.Format); ierr != nil {
+		return diffPlan{}, ierr
 	}
-	output := req.Output
-	if output == "" {
-		output = "script"
-	}
-	if !validOutput(output) {
-		s.met.BadRequests.Add(1)
-		return diffPlan{}, &ItemError{Status: http.StatusBadRequest, Code: "bad_request",
-			Message: fmt.Sprintf("unknown output %q (want one of %v)", output, Outputs)}
+	output, ierr := s.checkOutput(req.Output)
+	if ierr != nil {
+		return diffPlan{}, ierr
 	}
 	matcher, ok := s.matcherFor(req.Matcher)
 	if !ok {
-		s.met.BadRequests.Add(1)
-		return diffPlan{}, &ItemError{Status: http.StatusBadRequest, Code: "bad_request",
-			Message: fmt.Sprintf("unknown matcher %q (want one of %v)", req.Matcher, ladiff.EngineNames())}
+		return diffPlan{}, s.badRequest(fmt.Sprintf("unknown matcher %q (want one of %v)",
+			req.Matcher, ladiff.EngineNames()))
 	}
 	return diffPlan{req: req, output: output, matcher: matcher}, nil
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) *ItemError {
+	body, ierr := s.readBody(w, r)
+	if ierr != nil {
+		return ierr
 	}
 	// Cache lookup, body level: the SHA-256 of the raw body. A hit skips
 	// decoding and everything after it.
@@ -408,56 +393,45 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		bk = sha256.Sum256(body.Bytes())
 		if e, hitJSON, ok := s.cache.getBody(bk); ok {
 			putBuf(body)
-			s.serveBodyHit(w, r, e, hitJSON)
-			return
+			return s.serveBodyHit(w, r, e, hitJSON)
 		}
 	}
 	var req DiffRequest
-	ok = s.decodeJSON(w, body.Bytes(), &req)
+	ierr = s.decodeJSON(body.Bytes(), &req)
 	putBuf(body)
-	if !ok {
-		return
+	if ierr != nil {
+		return ierr
 	}
 	plan, ierr := s.planDiff(req)
 	if ierr != nil {
-		s.writeItemError(w, ierr)
-		return
+		return ierr
 	}
 	plan.body = bk
 
-	if !s.admit(w, r) {
-		return
+	ctx, cancel, ierr := s.enter(r.Context(), s.timeout(req.TimeoutMs))
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	// The deadline starts ticking at admission, before the test gate, so
-	// a gated request's context provably expires while the gate is held.
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
-
+	defer s.leave(cancel)
 	resp, ierr := s.executeDiff(ctx, plan)
 	if ierr != nil {
-		s.writeItemError(w, ierr)
-		return
+		return ierr
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // serveBodyHit answers a byte-identical /v1/diff repeat from cache entry
-// e. The request passes admission, the in-flight gauge and the test gate
-// like any other, and counts as a source-level hit does; then it writes
-// the entry's hit encoding, made here first if no body-level hit has
-// made it yet.
-func (s *Server) serveBodyHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, hitJSON []byte) {
-	if !s.admit(w, r) {
-		return
+// e. The request enters like any other slot holder, minus the deadline
+// (nothing it does polls one), and counts as a source-level hit does;
+// then it writes the entry's hit encoding, made here first if no
+// body-level hit has made it yet.
+func (s *Server) serveBodyHit(w http.ResponseWriter, r *http.Request, e *cacheEntry, hitJSON []byte) *ItemError {
+	_, cancel, ierr := s.enter(r.Context(), 0)
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
+	defer s.leave(cancel)
 
 	start := time.Now()
 	_, csp := obs.StartSpan(r.Context(), "cache")
@@ -468,6 +442,7 @@ func (s *Server) serveBodyHit(w http.ResponseWriter, r *http.Request, e *cacheEn
 		s.cache.setHitJSON(e, hitJSON)
 	}
 	writeEncoded(w, http.StatusOK, hitJSON)
+	return nil
 }
 
 // encodeHit encodes resp as a cache hit, byte for byte as writeJSON
@@ -579,7 +554,7 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 			PruneIdentical:    prune,
 		})
 		if err != nil {
-			return nil, s.pipelineError(err)
+			return nil, s.fail(err)
 		}
 		m, degradedReasons = mm, reasons
 		observe(PhaseMatch, time.Since(t0))
@@ -589,7 +564,7 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 		t0 = time.Now()
 		res, err = ladiff.ComputeEditScriptWith(oldT, newT, m, ladiff.GenOptions{Ctx: ctx})
 		if err != nil {
-			return nil, s.pipelineError(err)
+			return nil, s.fail(err)
 		}
 		observe(PhaseGenerate, time.Since(t0))
 	}
@@ -602,31 +577,11 @@ func (s *Server) executeDiff(ctx context.Context, plan diffPlan) (*DiffResponse,
 	_, rsp := obs.StartSpan(ctx, "serialize")
 	rsp.Str("output", output)
 	resp := DiffResponse{Format: req.Format, Output: output}
-	switch output {
-	case "script":
-		resp.Script = res.Script
-	case "delta", "marked":
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			s.met.Errors.Add(1)
-			rsp.Str("error", "delta: "+err.Error())
-			rsp.End()
-			return nil, &ItemError{Status: http.StatusInternalServerError, Code: "internal",
-				Message: "delta: " + err.Error()}
-		}
-		if output == "delta" {
-			raw, err := marshalDelta(dt)
-			if err != nil {
-				s.met.Errors.Add(1)
-				rsp.Str("error", "delta: "+err.Error())
-				rsp.End()
-				return nil, &ItemError{Status: http.StatusInternalServerError, Code: "internal",
-					Message: "delta: " + err.Error()}
-			}
-			resp.Delta = raw
-		} else {
-			resp.Document = renderMarked(req.Format, dt)
-		}
+	var err error
+	if resp.Script, resp.Delta, resp.Document, err = render(res, req.Format, output); err != nil {
+		rsp.Str("error", err.Error())
+		rsp.End()
+		return nil, s.fail(err)
 	}
 	rsp.Int("ops", int64(len(res.Script)))
 	rsp.End()
@@ -678,113 +633,75 @@ func endCacheSpan(sp *obs.Span, key string, hit bool) {
 	sp.End()
 }
 
-func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) *ItemError {
 	var req PatchRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if ierr := s.readJSON(w, r, &req); ierr != nil {
+		return ierr
 	}
-	if !validFormat(req.Format) {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown format %q (want one of %v)", req.Format, Formats))
-		return
+	if ierr := s.checkFormat(req.Format); ierr != nil {
+		return ierr
 	}
-
-	if !s.admit(w, r) {
-		return
+	ctx, cancel, ierr := s.enter(r.Context(), s.timeout(req.TimeoutMs))
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	// The deadline starts ticking at admission, before the test gate, so
-	// a gated request's context provably expires while the gate is held.
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
+	defer s.leave(cancel)
 
 	start := time.Now()
-
-	t0 := time.Now()
-	baseT, ok := s.parseChecked(w, "base", req.Format, req.Base)
-	if !ok {
-		return
+	baseT, ierr := s.parseItem("base", req.Format, req.Base)
+	if ierr != nil {
+		return ierr
 	}
-	s.met.PhaseLatency[PhaseParse].Observe(time.Since(t0))
+	s.met.PhaseLatency[PhaseParse].Observe(time.Since(start))
 	if err := ctx.Err(); err != nil {
-		s.failPipeline(w, err)
-		return
+		return s.fail(err)
 	}
-
-	resp := PatchResponse{Format: req.Format}
-	if req.Invert {
-		// Scripts reference node IDs of a deterministic parse of the
-		// base, and re-parsing a rendered document renumbers IDs — so
-		// the whole round trip runs server-side against this parse:
-		// invert against base, apply forward, apply the inverse, and
-		// verify we are back where we started.
-		inv, err := ladiff.InvertScript(req.Script, baseT)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "patch_error", "invert: "+err.Error())
-			return
-		}
-		patched, err := req.Script.ApplyTo(baseT)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "patch_error", "apply: "+err.Error())
-			return
-		}
-		reverted, err := inv.ApplyTo(patched)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "patch_error", "apply inverse: "+err.Error())
-			return
-		}
-		if !ladiff.Isomorphic(reverted, baseT) {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "patch_error",
-				"inverse script does not revert the base document")
-			return
-		}
-		t0 = time.Now()
-		doc, err := renderDoc(req.Format, reverted)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "internal", "render: "+err.Error())
-			return
-		}
-		s.met.PhaseLatency[PhaseRender].Observe(time.Since(t0))
-		resp.Script = inv
-		resp.Document = doc
-	} else {
-		patched, err := req.Script.ApplyTo(baseT)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "patch_error", "apply: "+err.Error())
-			return
-		}
-		t0 = time.Now()
-		doc, err := renderDoc(req.Format, patched)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "internal", "render: "+err.Error())
-			return
-		}
-		s.met.PhaseLatency[PhaseRender].Observe(time.Since(t0))
-		resp.Document = doc
+	out, inv, err := patch(req.Script, baseT, req.Invert)
+	if err != nil {
+		return refuse(&s.met.Errors, http.StatusUnprocessableEntity, "patch_error", err.Error())
 	}
-
+	t0 := time.Now()
+	doc, err := store.RenderDoc(req.Format, out)
+	if err != nil {
+		return s.fail(fmt.Errorf("render: %w", err))
+	}
+	s.met.PhaseLatency[PhaseRender].Observe(time.Since(t0))
 	s.met.Patches.Add(1)
 	s.met.RequestLatency.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, PatchResponse{Format: req.Format, Document: doc, Script: inv})
+	return nil
+}
+
+// patch applies script to base; with invert it also computes the
+// inverse and verifies that apply(script); apply(inverse) lands back on
+// base. It returns the tree the response renders — the patched base, or
+// the reverted one as proof the inverse reverts — and the inverse.
+// Scripts reference node IDs of a deterministic parse of the base, and
+// re-parsing a rendered document renumbers IDs, so the whole round trip
+// runs against this one parse.
+func patch(script ladiff.Script, base *ladiff.Tree, invert bool) (*ladiff.Tree, ladiff.Script, error) {
+	var inv ladiff.Script
+	if invert {
+		var err error
+		if inv, err = ladiff.InvertScript(script, base); err != nil {
+			return nil, nil, fmt.Errorf("invert: %w", err)
+		}
+	}
+	patched, err := script.ApplyTo(base)
+	if err != nil {
+		return nil, nil, fmt.Errorf("apply: %w", err)
+	}
+	if !invert {
+		return patched, nil, nil
+	}
+	reverted, err := inv.ApplyTo(patched)
+	if err != nil {
+		return nil, nil, fmt.Errorf("apply inverse: %w", err)
+	}
+	if !ladiff.Isomorphic(reverted, base) {
+		return nil, nil, errors.New("inverse script does not revert the base document")
+	}
+	return reverted, inv, nil
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.

@@ -72,32 +72,20 @@ func validWebhook(raw string) bool {
 	return (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) *ItemError {
 	var req JobSubmitRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if ierr := s.readJSON(w, r, &req); ierr != nil {
+		return ierr
 	}
 	// Validate before persisting: a job that could never run must be
 	// refused synchronously with the same envelope /v1/diff would use,
 	// not parked and failed later.
 	plan, ierr := s.planDiff(req.DiffRequest)
 	if ierr != nil {
-		s.writeItemError(w, ierr)
-		return
+		return ierr
 	}
 	if req.Webhook != "" && !validWebhook(req.Webhook) {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"webhook must be an absolute http(s) URL")
-		return
+		return s.badRequest("webhook must be an absolute http(s) URL")
 	}
 
 	timeout := s.timeout(req.TimeoutMs)
@@ -131,38 +119,26 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, jobStatus(job))
+		return nil
 	case errors.Is(err, sched.ErrJobsFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "jobs_full",
-			"job store at capacity; retry after backoff")
+		return refuse(nil, http.StatusTooManyRequests, "jobs_full", "job store at capacity; retry after backoff")
 	case errors.Is(err, sched.ErrJobsClosed):
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+		return s.draining()
 	case errors.Is(err, fault.ErrInjected):
-		s.met.Errors.Add(1)
-		writeError(w, http.StatusInternalServerError, "internal", "job submission failed: "+err.Error())
-	default:
-		s.met.Errors.Add(1)
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return refuse(&s.met.Errors, http.StatusInternalServerError, "internal", "job submission failed: "+err.Error())
 	}
+	return s.fail(err)
 }
 
 // handleJobGet polls one job. Status reads hold no worker slot — a
 // polling storm must not starve the diff traffic it is waiting on.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) *ItemError {
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown job id (finished jobs expire)")
-		return
+		return s.fail(errUnknownJob)
 	}
 	writeJSON(w, http.StatusOK, jobStatus(j))
+	return nil
 }
 
 // handleJobCancel cancels via the job's context: a queued job
@@ -170,20 +146,13 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // sees the cancellation at its next checkpoint. Canceling an
 // already-terminal job is a no-op that reports the terminal state —
 // DELETE is safe to retry.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) *ItemError {
 	j, ok := s.jobs.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown job id (finished jobs expire)")
-		return
+		return s.fail(errUnknownJob)
 	}
 	writeJSON(w, http.StatusOK, jobStatus(j))
+	return nil
 }
 
 // deliverWebhook POSTs the terminal status to the job's webhook URL,

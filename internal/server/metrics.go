@@ -26,18 +26,23 @@ var phaseNames = [numPhases]string{"parse", "match", "generate", "render"}
 
 // Metrics is the expvar-style counter set behind GET /metrics. All
 // fields are updated with atomics; a snapshot is taken per scrape.
-// Counter semantics (documented in DESIGN.md §8):
+// Counter semantics (documented in DESIGN.md §8); the failure counters
+// follow fail's table, and a refusal counted nowhere (503 cancelled
+// while queued, 429 jobs_full) is left out:
 //
-//	requests_total            every request that reached a handler
+//	requests_total            every request that reached a /v1 route (counted by lifecycle)
 //	diffs_total/patches_total successfully completed diff/patch requests
-//	in_flight                 requests currently holding an admission slot
-//	queued                    requests waiting for a slot right now
-//	rejected_queue_total      429s: admission queue overflow
-//	rejected_size_total       413s: body over MaxBodyBytes or tree over MaxTreeNodes
-//	rejected_draining_total   503s: arrived while draining
+//	in_flight                 units currently holding a worker slot (requests, batch items)
+//	queued                    units waiting for a slot right now
+//	rejected_queue_total      429s: queue_full (admission queue overflow), feeds_exhausted
+//	rejected_size_total       413s: too_large body, tree_too_large, batch over its item/byte bound
+//	rejected_draining_total   503 draining: arrived while draining
 //	timeouts_total            504s: per-request deadline expired mid-pipeline
-//	bad_requests_total        400s: malformed JSON, unknown format/output, parse errors
-//	errors_total              500s and 422s: pipeline or script-application failures
+//	bad_requests_total        400s (malformed JSON, unknown format/output/matcher/mode,
+//	                          parse_error), 404 not_found (document, version or job id),
+//	                          409 format_mismatch and rebase_boundary
+//	errors_total              500 internal (a contained panic counts in panics_total
+//	                          instead), 422 patch_error, 503 store_unavailable and over_budget
 //	panics_total              panics contained by the recovery middleware (each also a 500)
 //	degraded_total            successful responses served in a degraded mode (budget
 //	                          fallback to FastMatch, or scan-generator fallback)

@@ -239,27 +239,53 @@ func New(cfg Config) *Server {
 func (s *Server) Metrics() *Metrics { return s.met }
 
 // Handler returns the service mux: the v1 API plus health and metrics,
-// wrapped in the panic-containment and access-log middleware.
+// wrapped in the panic-containment and access-log middleware. Every /v1
+// route runs inside lifecycle.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/diff", s.handleDiff)
-	mux.HandleFunc("POST /v1/diff/batch", s.handleDiffBatch)
-	mux.HandleFunc("POST /v1/patch", s.handlePatch)
-	mux.HandleFunc("POST /v1/jobs/diff", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	api := func(pattern string, h apiHandler) { mux.HandleFunc(pattern, s.lifecycle(h)) }
+	api("POST /v1/diff", s.handleDiff)
+	api("POST /v1/diff/batch", s.handleDiffBatch)
+	api("POST /v1/patch", s.handlePatch)
+	api("POST /v1/jobs/diff", s.handleJobSubmit)
+	api("GET /v1/jobs/{id}", s.handleJobGet)
+	api("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	if s.cfg.Store != nil {
-		mux.HandleFunc("GET /v1/docs", s.handleDocList)
-		mux.HandleFunc("PUT /v1/docs/{key}", s.handleDocPut)
-		mux.HandleFunc("GET /v1/docs/{key}/versions", s.handleDocVersions)
-		mux.HandleFunc("GET /v1/docs/{key}/versions/{n}", s.handleDocCheckout)
-		mux.HandleFunc("GET /v1/docs/{key}/diff", s.handleDocDiff)
-		mux.HandleFunc("GET /v1/docs/{key}/feed", s.handleDocFeed)
+		api("GET /v1/docs", s.handleDocList)
+		api("PUT /v1/docs/{key}", s.handleDocPut)
+		api("GET /v1/docs/{key}/versions", s.handleDocVersions)
+		api("GET /v1/docs/{key}/versions/{n}", s.handleDocCheckout)
+		api("GET /v1/docs/{key}/diff", s.handleDocDiff)
+		api("GET /v1/docs/{key}/feed", s.handleDocFeed)
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s.accessLog(s.observe(s.recoverPanics(mux)))
+}
+
+// apiHandler is a /v1 handler: it writes its own success response and
+// returns its failure, if any, for lifecycle to write.
+type apiHandler func(http.ResponseWriter, *http.Request) *ItemError
+
+// lifecycle is the one request lifecycle of every /v1 route: it counts
+// the request in requests_total and refuses it with 503 draining once
+// drain has begun; otherwise it holds the scheduling core's drain gate
+// until h returns, so Shutdown waits the request out, and writes the
+// failure h returns. A handler that does CPU work also enters a worker
+// slot (see enter).
+func (s *Server) lifecycle(h apiHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.met.Requests.Add(1)
+		if !s.core.Begin() {
+			writeItemError(w, s.draining())
+			return
+		}
+		defer s.core.End()
+		if ierr := h(w, r); ierr != nil {
+			writeItemError(w, ierr)
+		}
+	}
 }
 
 // observe is the observability middleware: when the obs layer is

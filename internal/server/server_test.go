@@ -65,6 +65,73 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) int {
 	return resp.StatusCode
 }
 
+// send makes one request to path, with body JSON-encoded unless it is
+// nil, and returns the status and the response body.
+func send(t *testing.T, ts *httptest.Server, method, path string, body any) (int, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, ts.URL+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// failureCounters reads the counters a refused or failed request may
+// move, by their /metrics names.
+func failureCounters(s *Server) map[string]int64 {
+	snap := s.Metrics().Snapshot()
+	return map[string]int64{
+		"bad_requests_total":      snap.BadRequestsTotal,
+		"rejected_size_total":     snap.RejectedSizeTotal,
+		"rejected_queue_total":    snap.RejectedQueueTotal,
+		"rejected_draining_total": snap.RejectedDrainingTotal,
+		"timeouts_total":          snap.TimeoutsTotal,
+		"errors_total":            snap.ErrorsTotal,
+	}
+}
+
+// expectError sends one request and checks that it fails with status
+// and code, that it moves requests_total by one, and that of the
+// failure counters it moves exactly counter, by one.
+func expectError(t *testing.T, s *Server, ts *httptest.Server, method, path string, body any, status int, code, counter string) {
+	t.Helper()
+	requests, before := s.Metrics().Requests.Load(), failureCounters(s)
+	got, out := send(t, ts, method, path, body)
+	var envelope errorBody
+	if err := json.Unmarshal(out, &envelope); got != status || err != nil || envelope.Error.Code != code {
+		t.Fatalf("%s %s: %d %s, want %d %s", method, path, got, bytes.TrimSpace(out), status, code)
+	}
+	if n := s.Metrics().Requests.Load() - requests; n != 1 {
+		t.Errorf("%s %s: requests_total moved by %d, want 1", method, path, n)
+	}
+	for name, n := range failureCounters(s) {
+		want := int64(0)
+		if name == counter {
+			want = 1
+		}
+		if n-before[name] != want {
+			t.Errorf("%s %s: %s moved by %d, want %d", method, path, name, n-before[name], want)
+		}
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -278,6 +345,23 @@ func TestPatchRejectsHugeInsertID(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Fatalf("invert=%v: request allocated %d bytes, want under 1 MiB", invert, grew)
 		}
+	}
+}
+
+// TestPatchErrors pins /v1/patch's failures and the counter each moves:
+// an unknown format, a base that does not parse, and a script that
+// does not apply to it, forward or inverted.
+func TestPatchErrors(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	base := "doc\n  s \"a\"\n"
+	expectError(t, s, ts, "POST", "/v1/patch", PatchRequest{Base: base, Format: "pdf"},
+		http.StatusBadRequest, "bad_request", "bad_requests_total")
+	expectError(t, s, ts, "POST", "/v1/patch", PatchRequest{Base: "doc\n  s \"unclosed", Format: "tree"},
+		http.StatusBadRequest, "parse_error", "bad_requests_total")
+	for _, invert := range []bool{false, true} {
+		expectError(t, s, ts, "POST", "/v1/patch",
+			PatchRequest{Base: base, Format: "tree", Script: edit.Script{edit.Del(99)}, Invert: invert},
+			http.StatusUnprocessableEntity, "patch_error", "errors_total")
 	}
 }
 

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -12,7 +10,6 @@ import (
 
 	"ladiff"
 	"ladiff/internal/fault"
-	"ladiff/internal/lderr"
 	"ladiff/internal/store"
 )
 
@@ -25,16 +22,17 @@ import (
 //	GET /v1/docs/{key}/diff         diff two versions (?from=&to=)
 //	GET /v1/docs/{key}/feed         SSE change feed (?filter=&ignore=&since=)
 //
-// Ingest, checkout, and diff ride the same admission/drain machinery as
-// /v1/diff: they hold slots while doing CPU work and are refused while
-// draining. Feeds are long-lived, so they count against Config.MaxFeeds
-// instead of holding an admission slot, but they do register in the
-// in-flight set — Shutdown closes their subscriptions and waits for the
-// handlers to unwind, which is what makes drain clean.
+// Every route runs inside the server's one request lifecycle (see
+// lifecycle): refused while draining, and registered in the drain gate
+// until it returns. Ingest, checkout, and diff also enter a worker slot
+// as /v1/diff does while they do CPU work. Feeds are long-lived, so they
+// count against Config.MaxFeeds instead of holding a slot; Shutdown
+// closes their subscriptions and waits for the handlers to unwind, which
+// is what makes drain clean.
 
 // DocPutRequest is the body of PUT /v1/docs/{key}.
 type DocPutRequest struct {
-	// Format selects the parser front end (see Formats). The first
+	// Format selects the parser front end (see store.Formats). The first
 	// ingest pins the document's format; later ingests must repeat it.
 	Format string `json:"format"`
 	// Content is the document source text.
@@ -104,87 +102,32 @@ type DocDiffResponse struct {
 	Ops      int             `json:"ops"`
 }
 
-// storeError maps a store failure onto HTTP, mirroring failPipeline's
-// taxonomy mapping with the store's own sentinels on top.
-func (s *Server) storeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrUnknownKey), errors.Is(err, store.ErrUnknownVersion):
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
-	case errors.Is(err, store.ErrFormatMismatch):
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusConflict, "format_mismatch", err.Error())
-	case errors.Is(err, store.ErrClosed), errors.Is(err, store.ErrLogBroken):
-		s.met.Errors.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "store_unavailable", err.Error())
-	default:
-		switch lderr.KindOf(err) {
-		case lderr.ErrParse:
-			s.met.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "parse_error", err.Error())
-		case lderr.ErrLimit:
-			s.met.RejectedSize.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge, "tree_too_large", err.Error())
-		case lderr.ErrCanceled:
-			s.met.Timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
-		default:
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
-	}
-}
-
-func (s *Server) handleDocPut(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
-	key := r.PathValue("key")
+func (s *Server) handleDocPut(w http.ResponseWriter, r *http.Request) *ItemError {
 	var req DocPutRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if ierr := s.readJSON(w, r, &req); ierr != nil {
+		return ierr
 	}
-	if !validFormat(req.Format) {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown format %q (want one of %v)", req.Format, Formats))
-		return
+	if ierr := s.checkFormat(req.Format); ierr != nil {
+		return ierr
 	}
-	if !s.admit(w, r) {
-		return
+	ctx, cancel, ierr := s.enter(r.Context(), s.timeout(req.TimeoutMs))
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
+	defer s.leave(cancel)
 
-	res, err := s.cfg.Store.Ingest(ctx, key, req.Format, req.Content)
+	res, err := s.cfg.Store.Ingest(ctx, r.PathValue("key"), req.Format, req.Content)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	writeJSON(w, http.StatusOK, DocPutResponse{
 		Key: res.Key, Version: res.Version, Noop: res.Noop,
 		Fingerprint: res.Fingerprint, Nodes: res.Nodes, Ops: res.Ops,
 	})
+	return nil
 }
 
-func (s *Server) handleDocList(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDocList(w http.ResponseWriter, r *http.Request) *ItemError {
 	keys := s.cfg.Store.Keys()
 	sort.Strings(keys)
 	resp := DocListResponse{Docs: make([]DocInfo, 0, len(keys))}
@@ -200,195 +143,118 @@ func (s *Server) handleDocList(w http.ResponseWriter, r *http.Request) {
 		resp.Docs = append(resp.Docs, DocInfo{Key: key, Format: format, Latest: latest})
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleDocVersions(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDocVersions(w http.ResponseWriter, r *http.Request) *ItemError {
 	key := r.PathValue("key")
 	versions, err := s.cfg.Store.Versions(key)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	format, err := s.cfg.Store.Format(key)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	writeJSON(w, http.StatusOK, DocVersionsResponse{Key: key, Format: format, Versions: versions})
+	return nil
 }
 
-func (s *Server) handleDocCheckout(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDocCheckout(w http.ResponseWriter, r *http.Request) *ItemError {
 	key := r.PathValue("key")
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"version must be an integer, got "+r.PathValue("n"))
-		return
+		return s.badRequest("version must be an integer, got " + r.PathValue("n"))
 	}
-	if !s.admit(w, r) {
-		return
+	ctx, cancel, ierr := s.enter(r.Context(), s.timeout(0))
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
+	defer s.leave(cancel)
 
 	t, info, err := s.cfg.Store.Checkout(ctx, key, n)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	format, err := s.cfg.Store.Format(key)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
-	doc, err := renderDoc(format, t)
+	doc, err := store.RenderDoc(format, t)
 	if err != nil {
-		s.met.Errors.Add(1)
-		writeError(w, http.StatusInternalServerError, "internal", "render: "+err.Error())
-		return
+		return s.fail(fmt.Errorf("render: %w", err))
 	}
 	writeJSON(w, http.StatusOK, DocCheckoutResponse{
 		Key: key, Format: format, Version: info.Version,
 		Fingerprint: info.Fingerprint, Nodes: info.Nodes, Document: doc,
 	})
+	return nil
 }
 
-func (s *Server) handleDocDiff(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDocDiff(w http.ResponseWriter, r *http.Request) *ItemError {
 	key := r.PathValue("key")
 	q := r.URL.Query()
 	from, err1 := strconv.Atoi(q.Get("from"))
 	to, err2 := strconv.Atoi(q.Get("to"))
 	if err1 != nil || err2 != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"from and to must be integer version numbers")
-		return
+		return s.badRequest("from and to must be integer version numbers")
 	}
-	output := q.Get("output")
-	if output == "" {
-		output = "script"
-	}
-	if !validOutput(output) {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown output %q (want one of %v)", output, Outputs))
-		return
+	output, ierr := s.checkOutput(q.Get("output"))
+	if ierr != nil {
+		return ierr
 	}
 	mode := q.Get("mode")
 	switch mode {
 	case "", "auto", "compose", "rediff":
 	default:
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown mode %q (want auto, compose, or rediff)", mode))
-		return
+		return s.badRequest(fmt.Sprintf("unknown mode %q (want auto, compose, or rediff)", mode))
 	}
 	// Delta and marked outputs need a matching between the two versions,
 	// which only a fresh diff has; the composed chain is script-only.
 	if mode == "compose" && output != "script" {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"mode=compose supports output=script only")
-		return
+		return s.badRequest("mode=compose supports output=script only")
 	}
 
-	if !s.admit(w, r) {
-		return
+	ctx, cancel, ierr := s.enter(r.Context(), s.timeout(0))
+	if ierr != nil {
+		return ierr
 	}
-	defer s.core.Release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	s.met.InFlight.Add(1)
-	defer s.met.InFlight.Add(-1)
-	s.waitTestGate()
+	defer s.leave(cancel)
 
 	format, err := s.cfg.Store.Format(key)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	resp := DocDiffResponse{Key: key, From: from, To: to, Format: format, Output: output}
 
 	if output == "script" && mode != "rediff" {
 		script, ok, err := s.cfg.Store.ComposeDiff(key, from, to)
 		if err != nil {
-			s.storeError(w, err)
-			return
+			return s.fail(err)
 		}
 		if ok {
 			resp.Mode = "compose"
 			resp.Script = script
 			resp.Ops = len(script)
 			writeJSON(w, http.StatusOK, resp)
-			return
+			return nil
 		}
 		if mode == "compose" {
-			s.met.BadRequests.Add(1)
-			writeError(w, http.StatusConflict, "rebase_boundary",
-				"no contiguous delta chain between the versions (rebase boundary); use mode=rediff")
-			return
+			return s.fail(errRebaseBoundary)
 		}
 	}
 
 	res, err := s.cfg.Store.RediffVersions(ctx, key, from, to)
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	resp.Mode = "rediff"
 	resp.Ops = len(res.Script)
-	switch output {
-	case "script":
-		resp.Script = res.Script
-	case "delta", "marked":
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			s.met.Errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "internal", "delta: "+err.Error())
-			return
-		}
-		if output == "delta" {
-			raw, err := marshalDelta(dt)
-			if err != nil {
-				s.met.Errors.Add(1)
-				writeError(w, http.StatusInternalServerError, "internal", "delta: "+err.Error())
-				return
-			}
-			resp.Delta = raw
-		} else {
-			resp.Document = renderMarked(format, dt)
-		}
+	if resp.Script, resp.Delta, resp.Document, err = render(res, format, output); err != nil {
+		return s.fail(err)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleDocFeed serves the SSE change feed. Events are written as
@@ -400,33 +266,20 @@ func (s *Server) handleDocDiff(w http.ResponseWriter, r *http.Request) {
 // with ": keepalive" comments on an idle stream. The stream ends when
 // the client disconnects or the server drains (Shutdown closes every
 // subscription).
-func (s *Server) handleDocFeed(w http.ResponseWriter, r *http.Request) {
-	s.met.Requests.Add(1)
-	if !s.beginRequest() {
-		s.met.RejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	defer s.endRequest()
-
+func (s *Server) handleDocFeed(w http.ResponseWriter, r *http.Request) *ItemError {
 	key := r.PathValue("key")
 	q := r.URL.Query()
 	since := 0
 	if v := q.Get("since"); v != "" {
 		var err error
 		if since, err = strconv.Atoi(v); err != nil {
-			s.met.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_request", "since must be an integer")
-			return
+			return s.badRequest("since must be an integer")
 		}
 	}
 	if n := s.feeds.Add(1); n > int64(s.cfg.MaxFeeds) {
 		s.feeds.Add(-1)
-		s.met.RejectedQueue.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "feeds_exhausted",
+		return refuse(&s.met.RejectedQueue, http.StatusTooManyRequests, "feeds_exhausted",
 			fmt.Sprintf("at the limit of %d open feeds", s.cfg.MaxFeeds))
-		return
 	}
 	defer s.feeds.Add(-1)
 
@@ -436,8 +289,7 @@ func (s *Server) handleDocFeed(w http.ResponseWriter, r *http.Request) {
 		Since:  since,
 	})
 	if err != nil {
-		s.storeError(w, err)
-		return
+		return s.fail(err)
 	}
 	defer sub.Close()
 
@@ -450,7 +302,7 @@ func (s *Server) handleDocFeed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	if err := rc.Flush(); err != nil {
-		return
+		return nil
 	}
 
 	hb := time.NewTicker(s.cfg.FeedHeartbeat)
@@ -461,32 +313,32 @@ func (s *Server) handleDocFeed(w http.ResponseWriter, r *http.Request) {
 		case ev, ok := <-sub.Events():
 			if !ok {
 				// Store closed the feeds: the server is draining.
-				return
+				return nil
 			}
 			// Chaos checkpoint for the streaming write path: an injected
 			// error terminates the stream like a broken connection would.
 			if err := fault.Check(fault.ServerWrite); err != nil {
-				return
+				return nil
 			}
 			data, err := json.Marshal(ev)
 			if err != nil {
-				return
+				return nil
 			}
 			if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Version, data); err != nil {
-				return
+				return nil
 			}
 			if err := rc.Flush(); err != nil {
-				return
+				return nil
 			}
 		case <-hb.C:
 			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
+				return nil
 			}
 			if err := rc.Flush(); err != nil {
-				return
+				return nil
 			}
 		case <-ctx.Done():
-			return
+			return nil
 		}
 	}
 }

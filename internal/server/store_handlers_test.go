@@ -164,75 +164,61 @@ func TestDocLifecycle(t *testing.T) {
 	}
 }
 
-// TestDocErrors pins the HTTP error taxonomy of every store endpoint.
+// TestDocErrors pins the HTTP error taxonomy of every store endpoint,
+// and of the job routes' unknown id: each failure's status, its error
+// code, and the one counter it moves.
 func TestDocErrors(t *testing.T) {
-	_, ts, _ := newStoreServer(t, store.Config{Limits: tree.Limits{MaxNodes: 12}}, Config{})
+	s, ts, _ := newStoreServer(t, store.Config{Limits: tree.Limits{MaxNodes: 12}}, Config{})
+	const bad, size = "bad_requests_total", "rejected_size_total"
+	type errCase struct {
+		name, method, path string
+		body               any
+		status             int
+		code, counter      string
+	}
+	run := func(cases []errCase) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				expectError(t, s, ts, tc.method, tc.path, tc.body, tc.status, tc.code, tc.counter)
+			})
+		}
+	}
 
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   any
-		want   int
-	}{
-		{"unknown-key-versions", "GET", "/v1/docs/ghost/versions", nil, http.StatusNotFound},
-		{"unknown-key-checkout", "GET", "/v1/docs/ghost/versions/1", nil, http.StatusNotFound},
-		{"unknown-key-diff", "GET", "/v1/docs/ghost/diff?from=1&to=2", nil, http.StatusNotFound},
-		{"unknown-key-feed", "GET", "/v1/docs/ghost/feed", nil, http.StatusNotFound},
-		{"bad-format", "PUT", "/v1/docs/k", DocPutRequest{Format: "docx", Content: "x"}, http.StatusBadRequest},
-		{"parse-failure", "PUT", "/v1/docs/k", DocPutRequest{Format: "json", Content: "{oops"}, http.StatusBadRequest},
+	run([]errCase{
+		{"unknown-key-versions", "GET", "/v1/docs/ghost/versions", nil, http.StatusNotFound, "not_found", bad},
+		{"unknown-key-checkout", "GET", "/v1/docs/ghost/versions/1", nil, http.StatusNotFound, "not_found", bad},
+		{"unknown-key-diff", "GET", "/v1/docs/ghost/diff?from=1&to=2", nil, http.StatusNotFound, "not_found", bad},
+		{"unknown-key-feed", "GET", "/v1/docs/ghost/feed", nil, http.StatusNotFound, "not_found", bad},
+		{"bad-format", "PUT", "/v1/docs/k", DocPutRequest{Format: "docx", Content: "x"},
+			http.StatusBadRequest, "bad_request", bad},
+		{"parse-failure", "PUT", "/v1/docs/k", DocPutRequest{Format: "json", Content: "{oops"},
+			http.StatusBadRequest, "parse_error", bad},
 		{"over-limit", "PUT", "/v1/docs/k", DocPutRequest{Format: "text",
 			Content: "One. Two. Three. Four. Five. Six. Seven. Eight. Nine. Ten. Eleven. Twelve."},
-			http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var status int
-			var body []byte
-			if tc.method == "PUT" {
-				status, body = putDoc(t, ts, strings.TrimPrefix(tc.path, "/v1/docs/"), tc.body.(DocPutRequest))
-			} else {
-				status = getJSON(t, ts, tc.path, nil)
-			}
-			if status != tc.want {
-				t.Fatalf("%s %s: %d, want %d (%s)", tc.method, tc.path, status, tc.want, body)
-			}
-		})
-	}
+			http.StatusRequestEntityTooLarge, "tree_too_large", size},
+		// An unknown job id is not found like an unknown document key.
+		{"unknown-job-get", "GET", "/v1/jobs/ghost", nil, http.StatusNotFound, "not_found", bad},
+		{"unknown-job-cancel", "DELETE", "/v1/jobs/ghost", nil, http.StatusNotFound, "not_found", bad},
+	})
 
 	// Now with a real document behind the key.
 	if status, body := putDoc(t, ts, "k", DocPutRequest{Format: "text", Content: "Tiny doc."}); status != http.StatusOK {
 		t.Fatalf("seed: %d %s", status, body)
 	}
-	for _, tc := range []struct {
-		name string
-		path string
-		want int
-	}{
-		{"format-mismatch", "", 0}, // handled below; placeholder ordering
-		{"unknown-version", "/v1/docs/k/versions/9", http.StatusNotFound},
-		{"non-integer-version", "/v1/docs/k/versions/two", http.StatusBadRequest},
-		{"diff-missing-params", "/v1/docs/k/diff", http.StatusBadRequest},
-		{"diff-bad-output", "/v1/docs/k/diff?from=1&to=1&output=sculpture", http.StatusBadRequest},
-		{"diff-bad-mode", "/v1/docs/k/diff?from=1&to=1&mode=vibes", http.StatusBadRequest},
-		{"diff-compose-delta", "/v1/docs/k/diff?from=1&to=1&mode=compose&output=delta", http.StatusBadRequest},
-		{"feed-bad-since", "/v1/docs/k/feed?since=yesterday", http.StatusBadRequest},
-		{"feed-bad-filter", "/v1/docs/k/feed?filter=%5B%5B", http.StatusBadRequest},
-	} {
-		if tc.path == "" {
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			if status := getJSON(t, ts, tc.path, nil); status != tc.want {
-				t.Fatalf("%s: %d, want %d", tc.path, status, tc.want)
-			}
-		})
-	}
-	t.Run("format-mismatch", func(t *testing.T) {
-		status, _ := putDoc(t, ts, "k", DocPutRequest{Format: "html", Content: "<p>Tiny doc.</p>"})
-		if status != http.StatusConflict {
-			t.Fatalf("cross-format put: %d, want 409", status)
-		}
+	run([]errCase{
+		{"unknown-version", "GET", "/v1/docs/k/versions/9", nil, http.StatusNotFound, "not_found", bad},
+		{"non-integer-version", "GET", "/v1/docs/k/versions/two", nil, http.StatusBadRequest, "bad_request", bad},
+		{"diff-missing-params", "GET", "/v1/docs/k/diff", nil, http.StatusBadRequest, "bad_request", bad},
+		{"diff-bad-output", "GET", "/v1/docs/k/diff?from=1&to=1&output=sculpture", nil,
+			http.StatusBadRequest, "bad_request", bad},
+		{"diff-bad-mode", "GET", "/v1/docs/k/diff?from=1&to=1&mode=vibes", nil,
+			http.StatusBadRequest, "bad_request", bad},
+		{"diff-compose-delta", "GET", "/v1/docs/k/diff?from=1&to=1&mode=compose&output=delta", nil,
+			http.StatusBadRequest, "bad_request", bad},
+		{"feed-bad-since", "GET", "/v1/docs/k/feed?since=yesterday", nil, http.StatusBadRequest, "bad_request", bad},
+		{"feed-bad-filter", "GET", "/v1/docs/k/feed?filter=%5B%5B", nil, http.StatusBadRequest, "parse_error", bad},
+		{"format-mismatch", "PUT", "/v1/docs/k", DocPutRequest{Format: "html", Content: "<p>Tiny doc.</p>"},
+			http.StatusConflict, "format_mismatch", bad},
 	})
 	t.Run("rebase-boundary-compose", func(t *testing.T) {
 		if status, body := putDoc(t, ts, "rb", DocPutRequest{Format: "json", Content: `["a"]`}); status != 200 {
@@ -241,9 +227,8 @@ func TestDocErrors(t *testing.T) {
 		if status, body := putDoc(t, ts, "rb", DocPutRequest{Format: "json", Content: `{"k":1}`}); status != 200 {
 			t.Fatalf("rebase: %d %s", status, body)
 		}
-		if status := getJSON(t, ts, "/v1/docs/rb/diff?from=1&to=2&mode=compose", nil); status != http.StatusConflict {
-			t.Fatalf("compose across rebase: %d, want 409", status)
-		}
+		expectError(t, s, ts, "GET", "/v1/docs/rb/diff?from=1&to=2&mode=compose", nil,
+			http.StatusConflict, "rebase_boundary", bad)
 		// auto falls back to rediff and succeeds.
 		var diff DocDiffResponse
 		if status := getJSON(t, ts, "/v1/docs/rb/diff?from=1&to=2", &diff); status != http.StatusOK {
@@ -253,6 +238,37 @@ func TestDocErrors(t *testing.T) {
 			t.Fatalf("auto across rebase picked %q", diff.Mode)
 		}
 	})
+}
+
+// TestDrainEveryRoute: while the server drains, every /v1 route answers
+// 503 draining before it looks at the request, and each refusal moves
+// requests_total and rejected_draining_total by exactly one.
+func TestDrainEveryRoute(t *testing.T) {
+	s, ts, _ := newStoreServer(t, store.Config{}, Config{})
+	s.BeginDrain()
+	diff := DiffRequest{Old: "Alpha beta.", New: "Alpha gamma.", Format: "text"}
+	for _, rt := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/v1/diff", diff},
+		{"POST", "/v1/diff/batch", BatchDiffRequest{Items: []BatchDiffItem{{DiffRequest: diff}}}},
+		{"POST", "/v1/patch", PatchRequest{Base: "doc\n", Format: "tree"}},
+		{"POST", "/v1/jobs/diff", JobSubmitRequest{DiffRequest: diff}},
+		{"GET", "/v1/jobs/j1", nil},
+		{"DELETE", "/v1/jobs/j1", nil},
+		{"GET", "/v1/docs", nil},
+		{"PUT", "/v1/docs/k", DocPutRequest{Format: "text", Content: "A sentence."}},
+		{"GET", "/v1/docs/k/versions", nil},
+		{"GET", "/v1/docs/k/versions/1", nil},
+		{"GET", "/v1/docs/k/diff?from=1&to=2", nil},
+		{"GET", "/v1/docs/k/feed", nil},
+	} {
+		t.Run(rt.method+" "+rt.path, func(t *testing.T) {
+			expectError(t, s, ts, rt.method, rt.path, rt.body,
+				http.StatusServiceUnavailable, "draining", "rejected_draining_total")
+		})
+	}
 }
 
 // TestDocEndpointsUnmountedWithoutStore: a store-less server has no
