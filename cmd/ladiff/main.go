@@ -3,37 +3,29 @@
 // highlighting the changes, using the Table 2 conventions — bold for
 // inserted sentences, small font for deleted ones, italics for updates,
 // labels and footnotes for moves, marginal notes and heading annotations
-// for paragraph- and section-level changes.
+// for paragraph- and section-level changes. It reads the six formats
+// ladiffd serves, through the same table (internal/store), so it diffs
+// object hierarchies and database dumps (§1) as XML, JSON or indented
+// trees too.
 //
 // Usage:
 //
 //	ladiff [flags] OLD NEW
+//	ladiff -hash [-v] FILE [FILE]
 //
-//	-format latex|html|text   input format (default: by file extension)
-//	-out    marked|script|delta|summary
-//	                          output form (default marked)
-//	-t      0.5..1.0          internal match threshold (§5, default 0.6)
-//	-f      0..1              leaf match threshold (§5, default 0.5)
-//	-post                     enable the §8 post-processing repair pass
-//	-engine fast|simple|zs
-//	                          matching engine (§5): FastMatch (default),
-//	                          Algorithm Match, or the Zhang–Shasha
-//	                          optimal edit mapping; not combined with
-//	                          -level, which picks its own engines
-//	-level  -1|0..3           optimality level A(k) (§9); -1 = plain
-//	                          FastMatch pipeline (default)
-//	-query  EXPR              with -out query: delta query, e.g.
-//	                          "**/sentence[changed]"
-//	-json                     emit the delta tree as JSON in the ladiffd
-//	                          wire format (same bytes as POST /v1/diff
-//	                          with output=delta); overrides -out
-//	-prune                    claim fingerprint-identical subtrees
-//	                          wholesale before the match rounds (§5
-//	                          pre-pass; same script, less work)
-//	-hash                     print Merkle root fingerprints instead of
-//	                          diffing; accepts one or two files, exits 0
-//	                          if all roots agree, 6 if they differ
-//	-v                        with -hash: per-subtree fingerprint table
+// -format is latex, html, text, xml, json or tree; without it OLD's
+// extension picks (.tex/.latex, .html/.htm, .xml, .json, .tree, any other
+// text). -out is marked (the default: the input format's markup, as
+// ladiffd's output=marked), script, delta, json (the delta wire format,
+// the same bytes as ladiffd's output=delta), summary, query (with -query
+// EXPR, e.g. "**/sentence[changed]") or matching. -t and -f set the §5
+// match thresholds, -compare wordlcs|exact|levenshtein|tokenset the leaf
+// comparer, and -engine fast|simple|zs the matcher; -post adds the §8
+// repair pass, so the §9 optimality levels A(0)..A(3) are the default,
+// -post, -engine simple -post and -engine zs. -prune claims
+// fingerprint-identical subtrees before the match rounds (same script,
+// less work), and -trace prints the engine span tree to stderr. -hash
+// prints Merkle root fingerprints instead of diffing (-v: per subtree).
 //
 // Exit codes: 0 success, 1 unclassified failure, 2 usage, 3 input
 // load/parse failure, 4 diff-pipeline failure, 5 internal failure,
@@ -44,40 +36,69 @@
 //	ladiff old.tex new.tex > marked.tex
 //	ladiff -out script old.html new.html
 //	ladiff -out summary -t 0.7 old.txt new.txt
-//	ladiff -level 3 -out summary old.tex new.tex
 //	ladiff -engine zs -out summary old.tex new.tex
 //	ladiff -out query -query "**/sentence[mrk]" old.tex new.tex
-//	ladiff -prune -out summary old.tex new.tex
+//	ladiff -compare levenshtein -out matching old.xml new.xml
 //	ladiff -hash old.tex new.tex && echo unchanged
 package main
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
-	"encoding/json"
-
 	"ladiff"
-	"ladiff/internal/cli"
+	"ladiff/internal/delta"
+	"ladiff/internal/lderr"
 	"ladiff/internal/obs"
+	"ladiff/internal/store"
+	"ladiff/internal/tree"
 )
 
+// options holds the flags of one diff run.
+type options struct {
+	format  string  // a store.Formats name; "" picks one by OLD's extension
+	out     string  // one of outputs
+	t, f    float64 // match thresholds; 0 is the default
+	compare string  // a comparers name; "" is wordlcs
+	post    bool    // §8 repair pass
+	engine  string  // matcher name; "" is FastMatch
+	query   string  // delta query for -out query
+	trace   bool    // span tree to stderr
+	prune   bool    // fingerprint pre-pass
+}
+
+// outputs lists the -out forms.
+var outputs = []string{"marked", "script", "delta", "json", "summary", "query", "matching"}
+
+// comparers maps -compare names to leaf comparers. wordlcs is nil: the
+// matcher's own token form of word-LCS, the one ladiffd runs.
+var comparers = map[string]ladiff.CompareFunc{
+	"wordlcs":     nil,
+	"exact":       ladiff.CompareExact,
+	"levenshtein": ladiff.CompareLevenshtein,
+	"tokenset":    ladiff.CompareTokenSet,
+}
+
 func main() {
-	format := flag.String("format", "", "input format: latex, html, or text (default: by extension)")
-	out := flag.String("out", "marked", "output: marked, script, delta, or summary")
-	tThresh := flag.Float64("t", 0, "internal match threshold t in [0.5,1] (0 = default)")
-	fThresh := flag.Float64("f", 0, "leaf match threshold f in [0,1] (0 = default)")
-	post := flag.Bool("post", false, "enable the §8 post-processing repair pass")
-	engine := flag.String("engine", "", "matching engine: fast (default), simple, or zs")
-	level := flag.Int("level", -1, "optimality level A(k), 0..3; -1 = plain pipeline")
-	query := flag.String("query", "", "delta query expression for -out query")
-	jsonOut := flag.Bool("json", false, "emit the delta tree as JSON in the ladiffd wire format (overrides -out)")
-	trace := flag.Bool("trace", false, "print the engine span tree (phase timings and work counters) to stderr")
-	prune := flag.Bool("prune", false, "claim fingerprint-identical subtrees wholesale before the match rounds")
+	var o options
+	flag.StringVar(&o.format, "format", "", "input format: "+strings.Join(store.Formats, ", ")+" (default: by extension)")
+	flag.StringVar(&o.out, "out", "marked", "output: "+strings.Join(outputs, ", "))
+	flag.Float64Var(&o.t, "t", 0, "internal match threshold t in [0.5,1] (0 = default)")
+	flag.Float64Var(&o.f, "f", 0, "leaf match threshold f in [0,1] (0 = default)")
+	flag.StringVar(&o.compare, "compare", "wordlcs", "leaf comparer: wordlcs, exact, levenshtein, or tokenset")
+	flag.BoolVar(&o.post, "post", false, "enable the §8 post-processing repair pass")
+	flag.StringVar(&o.engine, "engine", "", "matching engine: fast (default), simple, or zs")
+	flag.StringVar(&o.query, "query", "", "delta query expression for -out query")
+	flag.BoolVar(&o.trace, "trace", false, "print the engine span tree (phase timings and work counters) to stderr")
+	flag.BoolVar(&o.prune, "prune", false, "claim fingerprint-identical subtrees wholesale before the match rounds")
 	hash := flag.Bool("hash", false, "print Merkle root fingerprints instead of diffing (one or two files)")
 	verbose := flag.Bool("v", false, "with -hash: print the per-subtree fingerprint table")
 	flag.Usage = func() {
@@ -85,35 +106,72 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *hash {
-		if flag.NArg() < 1 || flag.NArg() > 2 {
-			flag.Usage()
-			os.Exit(cli.ExitUsage)
-		}
-		differ, err := runHash(flag.Args(), *format, *verbose)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ladiff: %v\n", err)
-			os.Exit(cli.ExitCode(err))
-		}
-		if differ {
+	var err error
+	switch n := flag.NArg(); {
+	case *hash && (n == 1 || n == 2):
+		var differ bool
+		if differ, err = runHash(flag.Args(), o.format, *verbose); differ {
 			os.Exit(exitHashDiffer)
 		}
-		return
-	}
-	if flag.NArg() != 2 {
+	case !*hash && n == 2:
+		err = run(flag.Arg(0), flag.Arg(1), o)
+	default:
 		flag.Usage()
-		os.Exit(cli.ExitUsage)
+		os.Exit(exitUsage)
 	}
-	if err := run(flag.Arg(0), flag.Arg(1), *format, *out, *tThresh, *fThresh, *post, *engine, *level, *query, *jsonOut, *trace, *prune); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "ladiff: %v\n", err)
-		os.Exit(cli.ExitCode(err))
+		os.Exit(exitCode(err))
 	}
 }
 
-// exitHashDiffer is the -hash mode's "roots disagree" exit code — its
-// own value, past the cli package's error classes, because a mismatch
-// is a finding, not a failure.
-const exitHashDiffer = 6
+// Exit codes past 0 (success) and 1 (unclassified failure), so scripts
+// can tell a bad invocation from a bad input from a pipeline failure
+// without parsing stderr.
+const (
+	exitUsage      = 2 // bad flags or arguments
+	exitParse      = 3 // an input failed to load or parse
+	exitDiff       = 4 // the pipeline failed: invalid thresholds, matching or generation
+	exitInternal   = 5 // a contained panic or failed self-check: a bug, never the input's fault
+	exitHashDiffer = 6 // -hash: the roots disagree, a finding rather than a failure
+)
+
+// exitError attaches an exit code to an error, keeping the wrapped chain
+// for errors.Is/As.
+type exitError struct {
+	code int
+	error
+}
+
+func (e *exitError) Unwrap() error { return e.error }
+
+func usagef(format string, a ...any) error {
+	return &exitError{exitUsage, fmt.Errorf(format, a...)}
+}
+
+func parseError(err error) error { return &exitError{exitParse, err} }
+
+// pipelineError classifies a pipeline failure: lderr.ErrInternal
+// (contained panics, failed generator self-checks) exits 5, the rest 4.
+func pipelineError(err error) error {
+	if errors.Is(err, lderr.ErrInternal) {
+		return &exitError{exitInternal, err}
+	}
+	return &exitError{exitDiff, err}
+}
+
+// exitCode maps a run error to the process exit code: nil → 0,
+// classified errors → their code, anything else → 1.
+func exitCode(err error) int {
+	var ee *exitError
+	if errors.As(err, &ee) {
+		return ee.code
+	}
+	if err != nil {
+		return 1
+	}
+	return 0
+}
 
 // runHash implements -hash: the fingerprint inspection mode. One file
 // prints its root fingerprint; two files print both and the process
@@ -123,15 +181,14 @@ const exitHashDiffer = 6
 // whole per-subtree table prints: depth-indented, one row per node, the
 // digest each cache and prune decision keys on.
 func runHash(paths []string, format string, verbose bool) (differ bool, err error) {
+	if err := checkFormat(format); err != nil {
+		return false, err
+	}
 	var fps []ladiff.Fingerprint
 	for _, path := range paths {
-		resolved := format
-		if resolved == "" {
-			resolved = formatByExt(path)
-		}
-		t, err := load(path, resolved)
+		t, err := load(path, cmp.Or(format, formatByExt(path)))
 		if err != nil {
-			return false, cli.ParseError(err)
+			return false, parseError(err)
 		}
 		fp := ladiff.RootFingerprint(t)
 		fps = append(fps, fp)
@@ -154,16 +211,30 @@ func runHash(paths []string, format string, verbose bool) (differ bool, err erro
 	return false, nil
 }
 
-func run(oldPath, newPath, format, out string, t, f float64, post bool, engine string, level int, query string, jsonOut, trace, prune bool) error {
-	matcher, ok := ladiff.MatcherByName(engine)
+func run(oldPath, newPath string, o options) error {
+	// Every usage error is found before a file is read.
+	matcher, ok := ladiff.MatcherByName(o.engine)
 	if !ok {
-		return cli.UsageError(fmt.Errorf("unknown -engine %q (want one of %v)", engine, ladiff.EngineNames()))
+		return usagef("unknown -engine %q (want one of %v)", o.engine, ladiff.EngineNames())
 	}
-	if engine != "" && level >= 0 {
-		// The optimality ladder picks its own engines per level; a fixed
-		// engine under it would silently be ignored.
-		return cli.UsageError(fmt.Errorf("-engine cannot be combined with -level"))
+	compare, ok := comparers[cmp.Or(o.compare, "wordlcs")]
+	if !ok {
+		return usagef("unknown -compare %q (want wordlcs, exact, levenshtein, or tokenset)", o.compare)
 	}
+	if err := checkFormat(o.format); err != nil {
+		return err
+	}
+	if !slices.Contains(outputs, o.out) {
+		return usagef("unknown -out %q (want one of %v)", o.out, outputs)
+	}
+	var query *delta.Query
+	if o.out == "query" {
+		var err error
+		if query, err = delta.ParseQuery(o.query); err != nil {
+			return usagef("-out query needs a -query EXPR: %w", err)
+		}
+	}
+
 	// -trace arms the observability layer for this process and hangs
 	// the whole run under one trace; the span tree (parse, match
 	// rounds, generation phases, serialize) prints to stderr at the
@@ -172,7 +243,7 @@ func run(oldPath, newPath, format, out string, t, f float64, post bool, engine s
 		tr  *obs.Trace
 		ctx context.Context
 	)
-	if trace {
+	if o.trace {
 		defer obs.Activate(obs.Config{})()
 		tr, ctx = obs.StartTrace(context.Background(), "ladiff", "cli")
 		defer func() {
@@ -181,113 +252,81 @@ func run(oldPath, newPath, format, out string, t, f float64, post bool, engine s
 		}()
 	}
 
-	resolved := format
-	if resolved == "" {
-		resolved = formatByExt(oldPath)
-	}
+	format := cmp.Or(o.format, formatByExt(oldPath))
 	_, psp := obs.StartSpan(ctx, "parse")
-	psp.Str("format", resolved)
-	oldT, err := load(oldPath, resolved)
+	psp.Str("format", format)
+	oldT, err := load(oldPath, format)
 	if err != nil {
 		psp.End()
-		return cli.ParseError(err)
+		return parseError(err)
 	}
-	newT, err := load(newPath, resolved)
+	newT, err := load(newPath, format)
 	if err != nil {
 		psp.End()
-		return cli.ParseError(err)
+		return parseError(err)
 	}
 	psp.Int("old_nodes", int64(oldT.Len()))
 	psp.Int("new_nodes", int64(newT.Len()))
 	psp.End()
 
 	stats := &ladiff.MatchStats{}
-	mopts := ladiff.MatchOptions{InternalThreshold: t, LeafThreshold: f, Stats: stats, PruneIdentical: prune}
-	var res *ladiff.Result
-	if level >= 0 {
-		mopts.Ctx = ctx
-		res, err = ladiff.DiffAtLevel(oldT, newT, ladiff.OptimalityLevel(level), mopts)
-	} else {
-		res, err = ladiff.Diff(oldT, newT, ladiff.Options{Matcher: matcher, PostProcess: post, Match: mopts, Ctx: ctx})
-	}
+	mopts := ladiff.MatchOptions{InternalThreshold: o.t, LeafThreshold: o.f, Compare: compare, Stats: stats, PruneIdentical: o.prune}
+	res, err := ladiff.Diff(oldT, newT, ladiff.Options{Matcher: matcher, PostProcess: o.post, Match: mopts, Ctx: ctx})
 	if err != nil {
-		return cli.PipelineError(err)
+		return pipelineError(err)
 	}
 	_, ssp := obs.StartSpan(ctx, "serialize")
 	defer ssp.End()
-	if jsonOut {
-		ssp.Str("out", "json")
-	} else {
-		ssp.Str("out", out)
-	}
-	if jsonOut {
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			return cli.PipelineError(err)
-		}
-		return json.NewEncoder(os.Stdout).Encode(dt)
-	}
-	switch out {
+	ssp.Str("out", o.out)
+	switch o.out {
 	case "script":
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res.Script)
-	case "delta":
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			return cli.PipelineError(err)
-		}
-		fmt.Print(dt.String())
-		return nil
 	case "summary":
 		return summarize(res, stats)
+	case "matching":
+		for _, p := range res.Matching.Pairs() {
+			fmt.Printf("%d\t%d\t%v\t%v\n", p.Old, p.New, res.Old.Node(p.Old), res.New.Node(p.New))
+		}
+		return nil
+	}
+	dt, err := ladiff.BuildDelta(res)
+	if err != nil {
+		return pipelineError(err)
+	}
+	switch o.out {
+	case "delta":
+		fmt.Print(dt.String())
+	case "json":
+		return json.NewEncoder(os.Stdout).Encode(dt)
 	case "query":
-		if query == "" {
-			return cli.UsageError(fmt.Errorf("-out query requires -query EXPR"))
-		}
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			return cli.PipelineError(err)
-		}
-		hits, err := ladiff.DeltaQuery(dt, query)
-		if err != nil {
-			return err
-		}
-		for _, h := range hits {
+		for _, h := range dt.Select(query) {
 			fmt.Printf("%s\t%s\t%s\n", h.Node.Kind, h.Path, h.Node.Value)
 		}
-		return nil
-	case "marked":
-		dt, err := ladiff.BuildDelta(res)
-		if err != nil {
-			return cli.PipelineError(err)
-		}
-		// The markup follows the input format: LaTeX documents get the
-		// paper's Table 2 conventions, HTML gets <ins>/<del>/<em> with
-		// move anchors, plain text gets a +/-/~ change report.
-		switch resolved {
-		case "html":
-			fmt.Print(ladiff.RenderHTMLDelta(dt))
-		case "text":
-			fmt.Print(ladiff.RenderTextDelta(dt))
-		default:
-			fmt.Print(ladiff.RenderLatex(dt))
-		}
-		return nil
-	default:
-		return cli.UsageError(fmt.Errorf("unknown -out %q (want marked, script, delta, summary, or query)", out))
+	default: // marked, in the input format's conventions, as on ladiffd
+		fmt.Print(store.RenderMarked(format, dt))
 	}
+	return nil
+}
+
+// checkFormat refuses a -format outside the server's table; "" is
+// resolved by extension.
+func checkFormat(format string) error {
+	if format != "" && !store.ValidFormat(format) {
+		return usagef("unknown -format %q (want one of %v)", format, store.Formats)
+	}
+	return nil
+}
+
+// extFormats maps file extensions to formats; any other extension is text.
+var extFormats = map[string]string{
+	".tex": "latex", ".latex": "latex", ".html": "html", ".htm": "html",
+	".xml": "xml", ".json": "json", ".tree": "tree",
 }
 
 func formatByExt(path string) string {
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".tex", ".latex":
-		return "latex"
-	case ".html", ".htm":
-		return "html"
-	default:
-		return "text"
-	}
+	return cmp.Or(extFormats[strings.ToLower(filepath.Ext(path))], "text")
 }
 
 func load(path, format string) (*ladiff.Tree, error) {
@@ -295,19 +334,11 @@ func load(path, format string) (*ladiff.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if format == "" {
-		format = formatByExt(path)
+	t, err := store.ParseDoc(format, string(data), tree.Limits{})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	switch format {
-	case "latex":
-		return ladiff.ParseLatex(string(data))
-	case "html":
-		return ladiff.ParseHTML(string(data))
-	case "text":
-		return ladiff.ParseText(string(data)), nil
-	default:
-		return nil, fmt.Errorf("unknown format %q (want latex, html, or text)", format)
-	}
+	return t, nil
 }
 
 func summarize(res *ladiff.Result, stats *ladiff.MatchStats) error {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ladiff"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -33,25 +36,30 @@ func texPaths(t *testing.T) (string, string) {
 		filepath.Join("..", "..", "testdata", "texbook_new.tex")
 }
 
+// TestMarkedOutput pins the default output on the TeXbook pair to the
+// golden marked-up document byte for byte: the CLI parses and renders
+// through the store's format table, the same path ladiffd takes.
 func TestMarkedOutput(t *testing.T) {
 	oldP, newP := texPaths(t)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "", "marked", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "marked"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"\\documentclass", "\\textbf{", "\\textit{", "Moved from S"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("marked output missing %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "texbook_marked.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("marked output differs from texbook_marked.golden:\n%s", out)
 	}
 }
 
 func TestScriptOutput(t *testing.T) {
 	oldP, newP := texPaths(t)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "latex", "script", 0, 0, true, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "script", format: "latex", post: true})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +72,7 @@ func TestScriptOutput(t *testing.T) {
 func TestSummaryOutput(t *testing.T) {
 	oldP, newP := texPaths(t)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "", "summary", 0.7, 0.6, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "summary", t: 0.7, f: 0.6})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +87,7 @@ func TestSummaryOutput(t *testing.T) {
 func TestDeltaOutput(t *testing.T) {
 	oldP, newP := texPaths(t)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "", "delta", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "delta"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +104,7 @@ func TestTextAndHTMLFormats(t *testing.T) {
 	os.WriteFile(oldP, []byte("A stable sentence stays. A doomed one goes away. Another stable one anchors."), 0o644)
 	os.WriteFile(newP, []byte("A stable sentence stays. A new one arrives today. Another stable one anchors."), 0o644)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "", "summary", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "summary"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +118,7 @@ func TestTextAndHTMLFormats(t *testing.T) {
 	os.WriteFile(oldH, []byte("<p>A stable sentence stays here. Another stable sentence also stays.</p>"), 0o644)
 	os.WriteFile(newH, []byte("<p>A stable sentence stays here. Another stable sentence also stays. Plus one brand new arrival.</p>"), 0o644)
 	out, err = capture(t, func() error {
-		return run(oldH, newH, "", "summary", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldH, newH, options{out: "summary"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +131,7 @@ func TestTextAndHTMLFormats(t *testing.T) {
 func TestQueryOutput(t *testing.T) {
 	oldP, newP := texPaths(t)
 	out, err := capture(t, func() error {
-		return run(oldP, newP, "", "query", 0, 0, false, "", -1, "**/sentence[changed]", false, false, false)
+		return run(oldP, newP, options{out: "query", query: "**/sentence[changed]"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,41 +139,72 @@ func TestQueryOutput(t *testing.T) {
 	if !strings.Contains(out, "document/section/paragraph/sentence") {
 		t.Fatalf("query output:\n%s", out)
 	}
-	if err := run(oldP, newP, "", "query", 0, 0, false, "", -1, "", false, false, false); err == nil {
+	if err := run(oldP, newP, options{out: "query"}); err == nil {
 		t.Fatal("expected error for missing -query")
 	}
 }
 
+// TestLevelFlag pins the flag spellings of the §9 optimality levels:
+// the default, -post, -engine simple -post and -engine zs print the
+// script and the summary of DiffAtLevel(k) for k = 0..3. The summary's
+// r1/r2 counters tell the four apart on the TeXbook pair, where the
+// first three scripts agree.
 func TestLevelFlag(t *testing.T) {
 	oldP, newP := texPaths(t)
-	for _, level := range []int{0, 1, 2, 3} {
-		out, err := capture(t, func() error {
-			return run(oldP, newP, "", "summary", 0, 0, false, "", level, "", false, false, false)
-		})
+	oldT, newT := parseTex(t, oldP), parseTex(t, newP)
+	spellings := []options{{}, {post: true}, {engine: "simple", post: true}, {engine: "zs"}}
+	for k, o := range spellings {
+		stats := &ladiff.MatchStats{}
+		res, err := ladiff.DiffAtLevel(oldT, newT, ladiff.OptimalityLevel(k), ladiff.MatchOptions{Stats: stats})
 		if err != nil {
-			t.Fatalf("level %d: %v", level, err)
+			t.Fatal(err)
 		}
-		if !strings.Contains(out, "script:") {
-			t.Fatalf("level %d produced no summary:\n%s", level, out)
+		script, err := json.MarshalIndent(res.Script, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		summary, err := capture(t, func() error { return summarize(res, stats) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for out, want := range map[string]string{"script": string(script) + "\n", "summary": summary} {
+			o.out = out
+			got, err := capture(t, func() error { return run(oldP, newP, o) })
+			if err != nil {
+				t.Fatalf("A(%d): %v", k, err)
+			}
+			if got != want {
+				t.Errorf("%+v prints a %s other than A(%d)'s:\n%s\nwant:\n%s", o, out, k, got, want)
+			}
 		}
 	}
-	if err := run(oldP, newP, "", "summary", 0, 0, false, "", 9, "", false, false, false); err == nil {
-		t.Fatal("expected error for bad level")
+}
+
+func parseTex(t *testing.T, path string) *ladiff.Tree {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr, err := ladiff.ParseLatex(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestErrors(t *testing.T) {
 	oldP, newP := texPaths(t)
-	if err := run("missing.tex", newP, "", "marked", 0, 0, false, "", -1, "", false, false, false); err == nil {
+	if err := run("missing.tex", newP, options{out: "marked"}); err == nil {
 		t.Fatal("expected error for missing file")
 	}
-	if err := run(oldP, newP, "nosuch", "marked", 0, 0, false, "", -1, "", false, false, false); err == nil {
+	if err := run(oldP, newP, options{out: "marked", format: "nosuch"}); err == nil {
 		t.Fatal("expected error for unknown format")
 	}
-	if err := run(oldP, newP, "", "nosuch", 0, 0, false, "", -1, "", false, false, false); err == nil {
+	if err := run(oldP, newP, options{out: "nosuch"}); err == nil {
 		t.Fatal("expected error for unknown output")
 	}
-	if err := run(oldP, newP, "", "marked", 0.3, 0, false, "", -1, "", false, false, false); err == nil {
+	if err := run(oldP, newP, options{out: "marked", t: 0.3}); err == nil {
 		t.Fatal("expected error for t < 0.5")
 	}
 }
@@ -206,13 +245,13 @@ func captureBoth(t *testing.T, fn func() error) (stdout, stderr string, err erro
 func TestTraceFlag(t *testing.T) {
 	oldP, newP := texPaths(t)
 	plain, err := capture(t, func() error {
-		return run(oldP, newP, "", "marked", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "marked"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	traced, trace, err := captureBoth(t, func() error {
-		return run(oldP, newP, "", "marked", 0, 0, false, "", -1, "", false, true, false)
+		return run(oldP, newP, options{out: "marked", trace: true})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,13 +301,13 @@ func TestTraceFlag(t *testing.T) {
 func TestTraceFlagDisarmsAfterRun(t *testing.T) {
 	oldP, newP := texPaths(t)
 	_, _, err := captureBoth(t, func() error {
-		return run(oldP, newP, "", "marked", 0, 0, false, "", -1, "", false, true, false)
+		return run(oldP, newP, options{out: "marked", trace: true})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, trace, err := captureBoth(t, func() error {
-		return run(oldP, newP, "", "marked", 0, 0, false, "", -1, "", false, false, false)
+		return run(oldP, newP, options{out: "marked"})
 	})
 	if err != nil {
 		t.Fatal(err)

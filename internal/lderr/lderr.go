@@ -1,7 +1,7 @@
 // Package lderr defines the error taxonomy of the change-detection
 // pipeline: a small, closed set of error kinds that every public entry
 // point (ladiff.Diff*, the HTTP handlers of internal/server, the CLI
-// exit codes of internal/cli) classifies failures into, so callers at
+// exit codes of cmd/ladiff) classifies failures into, so callers at
 // any layer can make policy decisions — retry, reject, degrade, alert —
 // without parsing error strings.
 //

@@ -284,7 +284,7 @@ func (rt *Router) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if int64(len(body)) > rt.cfg.MaxBodyBytes {
 		rt.met.failed.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
 			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
 		return
 	}

@@ -755,7 +755,7 @@ func TestReadBody(t *testing.T) {
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || errorCode(data) != "body_too_large" {
-		t.Errorf("oversize body: status %d %s, want 413 body_too_large", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || errorCode(data) != "too_large" {
+		t.Errorf("oversize body: status %d %s, want 413 too_large", resp.StatusCode, data)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Outputs is the list of render back ends /v1/diff and
 // /v1/docs/{key}/diff support: the raw edit-script operations, the
 // delta-tree JSON of internal/delta (the one wire format shared with the
-// -json CLI flag), or a marked-up document in the input format's own
+// CLI's -out json), or a marked-up document in the input format's own
 // markup conventions.
 var Outputs = []string{"script", "delta", "marked"}
 
@@ -42,10 +42,7 @@ func (s *Server) checkOutput(output string) (string, *ItemError) {
 
 // render produces a diff's requested output, exactly one of: the edit
 // script, the delta tree in the shared wire format, or the delta tree
-// marked up in format's conventions — the paper's Table 2 markup for
-// LaTeX, <ins>/<del>/<em> with move anchors for HTML, and the +/-/~
-// annotated change report for everything else (text, xml, json, tree —
-// formats without a native markup vocabulary).
+// marked up in format's conventions (store.RenderMarked).
 func render(res *ladiff.Result, format, output string) (ladiff.Script, json.RawMessage, string, error) {
 	if output == "script" {
 		return res.Script, nil, "", nil
@@ -54,18 +51,12 @@ func render(res *ladiff.Result, format, output string) (ladiff.Script, json.RawM
 	if err != nil {
 		return nil, nil, "", fmt.Errorf("delta: %w", err)
 	}
-	switch {
-	case output == "delta":
-		raw, err := json.Marshal(dt)
-		if err != nil {
-			return nil, nil, "", fmt.Errorf("delta: %w", err)
-		}
-		return nil, raw, "", nil
-	case format == "latex":
-		return nil, nil, ladiff.RenderLatex(dt), nil
-	case format == "html":
-		return nil, nil, ladiff.RenderHTMLDelta(dt), nil
-	default:
-		return nil, nil, ladiff.RenderTextDelta(dt), nil
+	if output == "marked" {
+		return nil, nil, store.RenderMarked(format, dt), nil
 	}
+	raw, err := json.Marshal(dt)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("delta: %w", err)
+	}
+	return nil, raw, "", nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"ladiff/internal/delta"
 	"ladiff/internal/htmldoc"
 	"ladiff/internal/jsondoc"
 	"ladiff/internal/latex"
@@ -11,11 +12,11 @@ import (
 	"ladiff/internal/xmldoc"
 )
 
-// Formats lists the parser front ends the store (and the serving tier,
-// which delegates here) accepts. "json" diffs arbitrary JSON documents
-// structurally (jsondoc); "tree" is the generic indented wire format of
-// (*tree.Tree).String, the domain-agnostic entry for object hierarchies
-// and database dumps.
+// Formats lists the parser front ends the store, the serving tier and
+// the ladiff CLI accept; all three parse and render through this table.
+// "json" diffs arbitrary JSON documents structurally (jsondoc); "tree"
+// is the generic indented wire format of (*tree.Tree).String, the
+// domain-agnostic entry for object hierarchies and database dumps.
 var Formats = []string{"latex", "html", "text", "xml", "json", "tree"}
 
 // ValidFormat reports whether format names a known parser front end.
@@ -76,5 +77,21 @@ func RenderDoc(format string, t *tree.Tree) (string, error) {
 		return t.String(), nil
 	default:
 		return "", fmt.Errorf("unknown format %q (want one of %v)", format, Formats)
+	}
+}
+
+// RenderMarked renders a delta tree marked up in the named format's
+// conventions: the paper's Table 2 markup for LaTeX, <ins>/<del>/<em>
+// with move anchors for HTML, and the +/-/~ annotated change report for
+// everything else (text, xml, json, tree — formats without a native
+// markup vocabulary).
+func RenderMarked(format string, dt *delta.Tree) string {
+	switch format {
+	case "latex":
+		return latex.Render(dt)
+	case "html":
+		return htmldoc.RenderDelta(dt)
+	default:
+		return textdoc.RenderDelta(dt)
 	}
 }
