@@ -21,6 +21,7 @@ import (
 
 	"ladiff"
 	"ladiff/internal/bench"
+	"ladiff/internal/conformance"
 	"ladiff/internal/core"
 	"ladiff/internal/gen"
 	"ladiff/internal/match"
@@ -302,6 +303,18 @@ func BenchmarkLatexParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ladiff.ParseLatex(src); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineGoldenDefault times one default-engine run of the
+// first pinned class of TestEngineGoldenDefaultPath.
+func BenchmarkEngineGoldenDefault(b *testing.B) {
+	oldT, newT := conformance.GenPair(gen.Classes()[0])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ladiff.Diff(oldT, newT, ladiff.Options{}); err != nil {
+			b.Fatalf("Diff: %v", err)
 		}
 	}
 }

@@ -23,8 +23,9 @@
 // comparer, and -engine fast|simple|zs the matcher; -post adds the §8
 // repair pass, so the §9 optimality levels A(0)..A(3) are the default,
 // -post, -engine simple -post and -engine zs. -prune claims
-// fingerprint-identical subtrees before the match rounds (same script,
-// less work), and -trace prints the engine span tree to stderr. -hash
+// fingerprint-identical subtrees before the match rounds (less work;
+// the script can differ), and -trace prints the engine span tree to
+// stderr. -hash
 // prints Merkle root fingerprints instead of diffing (-v: per subtree).
 //
 // Exit codes: 0 success, 1 unclassified failure, 2 usage, 3 input
@@ -347,8 +348,8 @@ func summarize(res *ladiff.Result, stats *ladiff.MatchStats) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("old tree:  %d nodes (%d sentences)\n", res.Old.Len(), len(res.Old.Leaves()))
-	fmt.Printf("new tree:  %d nodes (%d sentences)\n", res.New.Len(), len(res.New.Leaves()))
+	fmt.Printf("old tree:  %d nodes (%d leaves)\n", res.Old.Len(), len(res.Old.Leaves()))
+	fmt.Printf("new tree:  %d nodes (%d leaves)\n", res.New.Len(), len(res.New.Leaves()))
 	fmt.Printf("matched:   %d node pairs\n", res.Matching.Len())
 	fmt.Printf("script:    %d operations (%d insert, %d delete, %d update, %d move)\n",
 		len(res.Script), ins, del, upd, mov)

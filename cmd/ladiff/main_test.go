@@ -11,7 +11,8 @@ import (
 	"ladiff"
 )
 
-// capture runs fn with os.Stdout redirected and returns what it printed.
+// capture runs fn with os.Stdout redirected and returns what it
+// printed, read while fn runs so no output outgrows the pipe.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
@@ -21,13 +22,15 @@ func capture(t *testing.T, fn func() error) (string, error) {
 	}
 	os.Stdout = w
 	defer func() { os.Stdout = old }()
+	out := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		r.Close()
+		out <- data
+	}()
 	runErr := fn()
 	w.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data), runErr
+	return string(<-out), runErr
 }
 
 func texPaths(t *testing.T) (string, string) {
@@ -81,6 +84,16 @@ func TestSummaryOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
+	}
+
+	// A leaf of an xml record is element text, not a sentence.
+	oldX, newX := writeFiles(t, `<db><rec id="1"><f>alpha beta</f><g>gamma</g></rec></db>`,
+		`<db><rec id="1"><f>alpha beta</f><g>delta</g></rec></db>`, ".xml")
+	if out, err = capture(t, func() error { return run(oldX, newX, options{out: "summary"}) }); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, " leaves)\nnew tree:") || strings.Contains(out, "sentences") {
+		t.Errorf("xml summary does not count leaves:\n%s", out)
 	}
 }
 

@@ -34,7 +34,9 @@
 // scripts conforming to the discovered matching (Theorem C.2); when the
 // inputs satisfy the paper's Matching Criteria 1–3 and the label schema
 // is acyclic, the matching itself is the unique maximal one (Theorem
-// 5.2), making the script globally minimal. When Criterion 3 fails (near-
-// duplicate leaves), the script remains correct but may be sub-optimal;
-// Options.PostProcess enables the §8 repair pass.
+// 5.2). That does not make the script minimum-cost over all matchings:
+// Criterion 2 can rebuild a paragraph that keeping would make cheaper
+// (an 11-node pair costs 7 where 3 suffice; TestGuaranteeStops). When
+// Criterion 3 fails (near-duplicate leaves), the matching itself may be
+// sub-optimal; Options.PostProcess enables the §8 repair pass.
 package ladiff

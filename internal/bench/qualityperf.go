@@ -1,6 +1,6 @@
 // Quality/runtime frontier evidence (experiment E14): every matching
-// engine over the standard workload classes, priced against the true
-// optimal edit distance — the record behind BENCH_quality.json.
+// engine over the standard workload classes, priced against the
+// Zhang–Shasha distance — the record behind BENCH_quality.json.
 package bench
 
 import (
@@ -71,10 +71,11 @@ type QualityPerfRow struct {
 	ScriptOps int `json:"script_ops"`
 	// ScriptCost is the script priced under the aligned model.
 	ScriptCost float64 `json:"script_cost"`
-	// OptimalCost is the true optimal edit distance of the pair
-	// (zs.Distance under the aligned oracle costs).
+	// OptimalCost is the Zhang–Shasha distance of the pair (zs.Distance
+	// under the aligned oracle costs): a reference number, which bounds
+	// the paper-model optimum neither way (see MoveCaveat).
 	OptimalCost float64 `json:"optimal_cost"`
-	// CostRatio is ScriptCost / OptimalCost: 1.0 = optimal. See the
+	// CostRatio is ScriptCost / OptimalCost: 1.0 = the ZS cost. See the
 	// move caveat on CollectQualityPerf for ratios below 1.
 	CostRatio float64 `json:"cost_ratio"`
 }
@@ -142,16 +143,19 @@ func qualityPairs(sections []int) ([]qualityPair, error) {
 
 // CollectQualityPerf measures the quality/runtime frontier (E14): for
 // every matching engine × workload, the wall-clock of a full Diff and
-// the script cost relative to the true optimum (zs.Distance under the
-// aligned pricing). reps ≤ 0 means 3; sections nil means the standard
+// the script cost relative to the Zhang–Shasha distance (zs.Distance
+// under the aligned pricing). reps ≤ 0 means 3; sections nil means the standard
 // {1, 2, 4, 8} sweep (pass an empty non-nil slice to skip the sweep).
 //
 // Move caveat: scripts price a move at 1, but the oracle's [ZS89]
 // operation set has no move and must express one as delete+insert
 // (cost 2). On move-heavy workloads a criteria-based script can
-// therefore cost LESS than "optimal" — ratios below 1.0 there measure
-// the model gap, not a broken oracle. On move-free workloads the
-// ratio is a true optimality gap and never drops below 1.
+// therefore cost LESS than the oracle — ratios below 1.0 there measure
+// the model gap, not a broken oracle. The gap runs the other way too:
+// ZS deletes an internal node by splicing its children for 1, where
+// the paper's DEL removes leaves only. So the ratio is a gap to the ZS
+// distance, not to the paper-model optimum, on move-free workloads as
+// well.
 func CollectQualityPerf(reps int, sections []int) (*QualityPerfReport, error) {
 	if reps <= 0 {
 		reps = 3
@@ -163,7 +167,7 @@ func CollectQualityPerf(reps int, sections []int) (*QualityPerfReport, error) {
 		Benchmark:  "quality/runtime frontier: engine × workload class vs optimal cost",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Pricing:    "insert/delete 1, move 1, update 0 (equal), 1 (similar), 2 (dissimilar); oracle relabel aligned",
-		MoveCaveat: "the oracle op set has no move (a move prices as delete+insert = 2), so move-heavy ratios can sit below 1.0",
+		MoveCaveat: "the oracle is the ZS distance, not the paper-model optimum: its op set has no move (a move prices as delete+insert = 2), so move-heavy ratios can sit below 1.0, and it deletes an internal node by splicing its children for 1, which the paper's leaf-only DEL cannot",
 	}
 	model := alignedScriptModel()
 	pairs, err := qualityPairs(sections)

@@ -72,24 +72,22 @@ func (e *APIError) Temporary() bool {
 	return false
 }
 
+// Retry backoff: the first retry waits baseBackoff, each later one
+// twice the last, capped at maxBackoff before jitter.
+const (
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
+
 // Config tunes one Client. The zero value is usable: every field has a
 // default applied by New.
 type Config struct {
 	// BaseURL is the root of the ladiffd API, e.g. "http://localhost:8044".
 	BaseURL string
-	// HTTPClient is the underlying transport. Nil means a dedicated
-	// http.Client (deliberately not http.DefaultClient, so per-attempt
-	// deadlines never fight an ambient global timeout).
-	HTTPClient *http.Client
 	// MaxRetries is how many times a failed request is retried, so a
 	// request makes at most MaxRetries+1 attempts. 0 means 3; negative
 	// disables retries.
 	MaxRetries int
-	// BaseBackoff is the delay before the first retry; each subsequent
-	// retry doubles it. 0 means 100ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the computed backoff (before jitter). 0 means 5s.
-	MaxBackoff time.Duration
 	// RetryBudget caps the total time a request may spend across all
 	// attempts and backoff sleeps: once the budget would be exceeded by
 	// the next backoff, the client stops retrying and returns the last
@@ -111,17 +109,8 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	c.BaseURL = strings.TrimRight(c.BaseURL, "/")
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 10 * time.Second
@@ -138,6 +127,9 @@ func (c Config) withDefaults() Config {
 // Client is a retrying ladiffd client, safe for concurrent use.
 type Client struct {
 	cfg Config
+	// http is a dedicated client (deliberately not http.DefaultClient,
+	// so per-attempt deadlines never fight an ambient global timeout).
+	httpClient *http.Client
 
 	// sleep and now are swapped out by tests so retry schedules can be
 	// asserted without real waiting.
@@ -156,10 +148,11 @@ type Client struct {
 func New(cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg:     cfg,
-		sleep:   sleepCtx,
-		now:     time.Now,
-		breaker: NewBreaker(cfg.Breaker, cfg.BreakerCooldown),
+		cfg:        cfg,
+		httpClient: &http.Client{},
+		sleep:      sleepCtx,
+		now:        time.Now,
+		breaker:    NewBreaker(cfg.Breaker, cfg.BreakerCooldown),
 	}
 	c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	// One clock: tests that freeze c.now freeze the breaker's cooldown
@@ -183,9 +176,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // (0-based), taking the larger of the exponential schedule and the
 // server's Retry-After hint.
 func (c *Client) backoff(retry int, retryAfter time.Duration) time.Duration {
-	d := c.cfg.BaseBackoff << uint(retry)
-	if d > c.cfg.MaxBackoff || d <= 0 { // <=0: shift overflow
-		d = c.cfg.MaxBackoff
+	d := baseBackoff << uint(retry)
+	if d > maxBackoff || d <= 0 { // <=0: shift overflow
+		d = maxBackoff
 	}
 	// Full jitter in [d/2, d): desynchronizes a fleet of clients
 	// retrying against the same recovering server.
@@ -325,7 +318,7 @@ func (c *Client) attempt(ctx context.Context, method, path, id string, payload [
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set("X-Request-Id", id)
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.httpClient.Do(req)
 	if err != nil {
 		return err
 	}

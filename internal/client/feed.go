@@ -106,7 +106,7 @@ func (c *Client) streamFeed(ctx context.Context, key string, opts FeedOptions, s
 		return err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.httpClient.Do(req)
 	if err != nil {
 		return err
 	}

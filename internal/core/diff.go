@@ -78,9 +78,6 @@ type Options struct {
 	// PostProcess enables the §8 repair pass that fixes sub-optimal
 	// matchings produced when Matching Criterion 3 does not hold.
 	PostProcess bool
-	// CostModel prices the resulting script for Result reporting. The
-	// zero value means the paper's unit-cost model.
-	CostModel *edit.CostModel
 	// Gen configures the edit-script generator; the zero value selects
 	// the indexed FindPos path.
 	Gen GenOptions
@@ -161,7 +158,7 @@ func Diff(old, new *tree.Tree, opts Options) (_ *Result, err error) {
 // wrapped in a "match" span whose attributes are read from the Stats
 // counters after the fact — the instrumentation never touches the
 // matching itself, so traced and untraced runs are bit-identical (the
-// trace-invariance battery pins this).
+// conformance matrix's obs cells pin this).
 func MatchWithFallback(old, new *tree.Tree, matcher Matcher, opts match.Options) (*match.Matching, []string, error) {
 	mctx, sp := obs.StartSpan(opts.Ctx, "match")
 	if sp == nil {

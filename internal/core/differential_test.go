@@ -12,78 +12,26 @@ import (
 	"ladiff/internal/zs"
 )
 
-// diffWorkloads spans the gen package's workload classes: the knobs of
-// DocParams (shape, duplicate pressure) crossed with the perturbation
-// mixes of PerturbParams. Each class is run over several seeds.
-var diffWorkloads = []struct {
-	name string
-	doc  gen.DocParams
-	pert func(seed int64) gen.PerturbParams
-	// expectWin asserts that the indexed path executes strictly fewer
-	// position steps than the logical scan cost — only meaningful on
-	// wide sibling lists, where the O(log fanout) advantage dominates
-	// the index's fixed costs.
-	expectWin bool
-}{
-	{
-		name: "default-mix",
-		doc:  gen.DocParams{},
-		pert: func(seed int64) gen.PerturbParams { return gen.Mix(seed, 24) },
-	},
-	{
-		name: "wide-flat",
-		doc: gen.DocParams{
-			Sections: 2, MinParagraphs: 1, MaxParagraphs: 2,
-			MinSentences: 64, MaxSentences: 96,
-		},
-		pert:      func(seed int64) gen.PerturbParams { return gen.Mix(seed, 200) },
-		expectWin: true,
-	},
-	{
-		name: "near-duplicates",
-		doc:  gen.DocParams{DuplicateRate: 0.35, Vocabulary: 120},
-		pert: func(seed int64) gen.PerturbParams { return gen.Mix(seed, 20) },
-	},
-	{
-		name: "move-heavy",
-		doc:  gen.DocParams{},
-		pert: func(seed int64) gen.PerturbParams {
-			return gen.PerturbParams{Seed: seed, MoveSentences: 18, MoveParagraphs: 6}
-		},
-	},
-	{
-		name: "insert-delete-heavy",
-		doc:  gen.DocParams{},
-		pert: func(seed int64) gen.PerturbParams {
-			return gen.PerturbParams{Seed: seed, InsertSentences: 14, DeleteSentences: 14}
-		},
-	},
-	{
-		name: "update-heavy",
-		doc:  gen.DocParams{},
-		pert: func(seed int64) gen.PerturbParams {
-			return gen.PerturbParams{Seed: seed, UpdateSentences: 20, UpdateFraction: 0.4}
-		},
-	},
-}
-
 // TestDifferentialIndexedVsScan is the differential oracle for the
 // generation index: on every workload class, the indexed generator must
 // emit a script identical op-for-op to the reference scan generator,
 // charge identical logical WorkStats, and the replayed script must
-// reproduce the new tree.
+// reproduce the new tree. On wide-flat's sibling lists, where the
+// O(log fanout) advantage dominates the index's fixed costs, the
+// indexed path must also execute strictly fewer position steps than
+// the logical scan cost.
 func TestDifferentialIndexedVsScan(t *testing.T) {
-	for _, wl := range diffWorkloads {
-		t.Run(wl.name, func(t *testing.T) {
+	for _, c := range gen.Classes() {
+		t.Run(c.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				doc := wl.doc
+				doc := c.Doc
 				doc.Seed = seed
 				t1 := gen.Document(doc)
-				pert, err := gen.Perturb(t1, wl.pert(seed+100))
+				pert, err := gen.Perturb(t1, c.Pert(seed+100))
 				if err != nil {
 					t.Fatalf("seed %d: perturb: %v", seed, err)
 				}
-				assertIndexedMatchesScan(t, seed, t1, pert.New, pert.Truth, wl.expectWin)
+				assertIndexedMatchesScan(t, seed, t1, pert.New, pert.Truth, c.Name == "wide-flat")
 				// An empty matching exercises the dummy-root wrapping path:
 				// everything is inserted and deleted.
 				if seed == 1 {

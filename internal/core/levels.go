@@ -16,8 +16,9 @@ type OptimalityLevel int
 
 const (
 	// LevelFast is A(0): Algorithm FastMatch alone. Near-linear on
-	// similar trees; optimal exactly when Criteria 1–3 hold and labels
-	// are acyclic (Theorem 5.2).
+	// similar trees; when Criteria 1–3 hold and labels are acyclic its
+	// matching is the unique maximal one (Theorem 5.2), which still
+	// need not give the cheapest script.
 	LevelFast OptimalityLevel = iota
 	// LevelRepair is A(1): FastMatch plus the §8 top-down repair pass,
 	// which removes non-propagated sub-optimalities caused by Criterion 3
@@ -29,7 +30,8 @@ const (
 	LevelThorough
 	// LevelOptimal is A(3): the matching is derived from an optimal
 	// Zhang–Shasha edit mapping ([Zha95] via internal/zs), ignoring the
-	// matching criteria entirely. Globally minimal pairing at
+	// matching criteria entirely. The pairing minimizes the ZS
+	// insert/delete/relabel cost, not the paper's move-aware cost, at
 	// Ω(n²·log²n); intended for small trees or offline use — the
 	// "thorough algorithm" end of the §2 trade-off.
 	LevelOptimal

@@ -9,10 +9,9 @@ import (
 )
 
 // Class is one named workload: a document shape crossed with a
-// perturbation recipe. The differential batteries (observability
-// invariance, fingerprint-ladder identity) and the benchmark harness
-// share this list so "every workload class" means the same thing
-// everywhere.
+// perturbation recipe. The conformance matrix (internal/conformance)
+// and the benchmark harness share this list so "every workload class"
+// means the same thing everywhere.
 type Class struct {
 	Name string
 	Doc  DocParams

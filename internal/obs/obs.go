@@ -12,7 +12,7 @@
 // daemon's -obs flag), and the instrumentation is strictly passive: it
 // reads phase statistics after the fact and never influences control
 // flow, so an armed run produces byte-identical output to a disabled
-// one (pinned by the trace-invariance battery at the repo root).
+// one (pinned by the conformance matrix's obs cells).
 package obs
 
 import (
@@ -25,11 +25,6 @@ type Config struct {
 	// Ring receives finished traces for slow/errored-trace retention;
 	// nil means traces are built but not retained.
 	Ring *Ring
-	// Sample, when non-nil, decides per request id whether a trace is
-	// built at all. Nil samples everything. An armed-but-unsampled
-	// request runs with the checkpoints live but no span tree — the
-	// cheapest armed state.
-	Sample func(id string) bool
 }
 
 // state is the active configuration; nil when observability is

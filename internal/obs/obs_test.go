@@ -151,21 +151,6 @@ func TestEndIdempotent(t *testing.T) {
 	tr.Finish()
 }
 
-// TestSampling pins the armed-but-unsampled state: Sample rejecting an
-// id yields no trace while Enabled stays true.
-func TestSampling(t *testing.T) {
-	defer Activate(Config{Sample: func(id string) bool { return id == "keep" }})()
-	if !Enabled() {
-		t.Fatal("not enabled after Activate")
-	}
-	if tr, _ := StartTrace(context.Background(), "op", "drop"); tr != nil {
-		t.Error("rejected id was traced")
-	}
-	if tr, _ := StartTrace(context.Background(), "op", "keep"); tr == nil {
-		t.Error("accepted id was not traced")
-	}
-}
-
 // TestActivateDeactivate pins that deactivation restores the disabled
 // state (it does not nest).
 func TestActivateDeactivate(t *testing.T) {

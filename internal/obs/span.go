@@ -23,7 +23,7 @@ type Attr struct {
 // label rank round, not per node.
 //
 // All methods are safe on a nil receiver, which is what every call
-// site gets when observability is disabled or the request unsampled.
+// site gets when observability is disabled or the context untraced.
 type Span struct {
 	name  string
 	start time.Time

@@ -32,15 +32,11 @@ type Trace struct {
 
 // StartTrace builds a trace and returns it with a context carrying
 // its root span, from which StartSpan derives phase spans. It returns
-// (nil, ctx) when observability is disabled or the armed Sample
-// function rejects id — callers treat a nil trace as "not tracing"
-// and every downstream Span method is nil-safe.
+// (nil, ctx) when observability is disabled — callers treat a nil
+// trace as "not tracing" and every downstream Span method is
+// nil-safe.
 func StartTrace(ctx context.Context, name, id string) (*Trace, context.Context) {
-	cfg := state.Load()
-	if cfg == nil || ctx == nil {
-		return nil, ctx
-	}
-	if cfg.Sample != nil && !cfg.Sample(id) {
+	if !Enabled() || ctx == nil {
 		return nil, ctx
 	}
 	root := newSpan(name)

@@ -106,7 +106,7 @@ func (rt *Router) probeOnce(rep *replica) bool {
 	if err := fault.Check(fault.RouteProbe); err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(rt.life, rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.life, rt.cfg.ProbeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
 	if err != nil {

@@ -19,21 +19,20 @@ import (
 	"ladiff/internal/sched"
 )
 
+// vnodes is the number of virtual nodes per replica on the hash ring:
+// enough to smooth the key distribution and shrink the slices moved
+// per membership change.
+const vnodes = 64
+
 // Config tunes one Router. The zero value of every field has a default
 // applied by New; only Replicas is required.
 type Config struct {
 	// Replicas are the backend base URLs, e.g. "http://10.0.0.1:8044".
 	Replicas []string
-	// VNodes is the number of virtual nodes per replica on the hash
-	// ring. More vnodes smooth the key distribution and shrink the
-	// slices moved per membership change; 0 means 64.
-	VNodes int
-	// ProbeInterval is how often each replica's /readyz is probed.
-	// 0 means 1s.
+	// ProbeInterval is how often each replica's /readyz is probed, and
+	// the bound on one probe (a probe slower than the interval is a
+	// failure by definition). 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe. 0 means ProbeInterval (a probe
-	// slower than the interval is a failure by definition).
-	ProbeTimeout time.Duration
 	// Rise and Fall are the probe hysteresis: an ejected replica needs
 	// Rise consecutive passing probes to be re-admitted, a live one
 	// Fall consecutive failures to be ejected. 0 means 2 each.
@@ -52,23 +51,14 @@ type Config struct {
 	// so a stateless request's failover hop can replay them and a batch
 	// can be split per item). 0 means 16 MiB.
 	MaxBodyBytes int64
-	// Transport is the upstream RoundTripper; nil means a dedicated
-	// http.Transport.
-	Transport http.RoundTripper
 	// Logger receives failover and health-transition logs; nil means
 	// slog.Default().
 	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
 	}
 	if c.Rise <= 0 {
 		c.Rise = 2
@@ -87,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Transport == nil {
-		c.Transport = &http.Transport{MaxIdleConnsPerHost: 32}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -163,9 +150,9 @@ func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Replicas, cfg.VNodes),
+		ring:   NewRing(cfg.Replicas, vnodes),
 		reps:   make(map[string]*replica, len(cfg.Replicas)),
-		client: &http.Client{Transport: cfg.Transport},
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
 	}
 	rt.life, rt.stop = context.WithCancel(context.Background())
 	for _, u := range rt.ring.Replicas() {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,24 +15,6 @@ import (
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// batteryClasses is the batch differential battery's workload axis:
-// every standard class, with sparse-1pct scaled from ~224 to 8
-// sections (edit rate kept at ~1%) exactly as the E14 frontier harness
-// scales it, so the optimal-oracle engines stay tractable inside a
-// unit test.
-func batteryClasses() []gen.Class {
-	var out []gen.Class
-	for _, c := range gen.Classes() {
-		if c.Name == "sparse-1pct" {
-			c.Name = "sparse-1pct-s8"
-			c.Doc.Sections = 8
-			c.Pert = func(seed int64) gen.PerturbParams { return gen.Mix(seed, 2) }
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // renderPair generates one old/new text-document pair for a class.
@@ -70,114 +51,6 @@ func normalizeResponse(t *testing.T, raw []byte) string {
 	return string(out)
 }
 
-// TestBatchSequentialDifferential is the battery pinning the tentpole
-// guarantee: a batch of N items is observably identical to the N
-// sequential /v1/diff requests — per item, the response body is
-// byte-identical after zeroing the phase wall times (the only
-// nondeterministic field), and an invalid item fails with exactly the
-// status/code/message envelope the single-request path produces.
-// Engines cross the full quality frontier; the optimal engine runs one
-// seed per class to bound runtime, the default engine three.
-func TestBatchSequentialDifferential(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	engines := []struct {
-		name  string
-		seeds []int64
-	}{
-		{"fast", []int64{501, 502, 503}},
-		{"zs", []int64{511}},
-	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			var items []BatchDiffItem
-			for _, c := range batteryClasses() {
-				for _, seed := range eng.seeds {
-					it := BatchDiffItem{ID: fmt.Sprintf("%s-%d", c.Name, seed)}
-					it.Old, it.New = renderPair(t, c, seed)
-					it.Format = "text"
-					it.Matcher = eng.name
-					items = append(items, it)
-				}
-			}
-			// Mixed validity: these must fail alone, exactly as they
-			// would as single requests, without touching their neighbors.
-			badFormat := BatchDiffItem{ID: "bad-format"}
-			badFormat.Format = "no-such-format"
-			badFormat.Old, badFormat.New = "a", "b"
-			badMatcher := BatchDiffItem{ID: "bad-matcher"}
-			badMatcher.Format = "text"
-			badMatcher.Matcher = "no-such-engine"
-			badMatcher.Old, badMatcher.New = "a", "b"
-			items = append(items, badFormat, badMatcher)
-
-			// Sequential oracle: each item through POST /v1/diff.
-			type seqResult struct {
-				status int
-				body   []byte
-			}
-			seq := make([]seqResult, len(items))
-			for i, it := range items {
-				status, body, _ := postJSON(t, ts, "/v1/diff", it.DiffRequest)
-				seq[i] = seqResult{status, body}
-			}
-
-			status, body, _ := postJSON(t, ts, "/v1/diff/batch", BatchDiffRequest{Items: items})
-			if status != http.StatusOK {
-				t.Fatalf("batch status %d: %s", status, body)
-			}
-			var out BatchDiffResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Fatalf("decoding batch response: %v", err)
-			}
-			if len(out.Items) != len(items) {
-				t.Fatalf("batch returned %d items, want %d", len(out.Items), len(items))
-			}
-			wantFailed := 2
-			if out.Succeeded != len(items)-wantFailed || out.Failed != wantFailed {
-				t.Errorf("succeeded=%d failed=%d, want %d/%d",
-					out.Succeeded, out.Failed, len(items)-wantFailed, wantFailed)
-			}
-			for i, item := range out.Items {
-				if item.ID != items[i].ID {
-					t.Fatalf("item %d: id %q, want %q (order must be preserved)", i, item.ID, items[i].ID)
-				}
-				if seq[i].status == http.StatusOK {
-					if item.Error != nil {
-						t.Errorf("%s: batch failed (%+v) where sequential succeeded", item.ID, item.Error)
-						continue
-					}
-					got, err := json.Marshal(item.Response)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if g, w := normalizeResponse(t, got), normalizeResponse(t, seq[i].body); g != w {
-						t.Errorf("%s: batch response diverges from sequential:\nbatch: %s\nseq:   %s", item.ID, g, w)
-					}
-					continue
-				}
-				if item.Error == nil {
-					t.Errorf("%s: batch succeeded where sequential failed %d", item.ID, seq[i].status)
-					continue
-				}
-				var envelope struct {
-					Error struct {
-						Code    string `json:"code"`
-						Message string `json:"message"`
-					} `json:"error"`
-				}
-				if err := json.Unmarshal(seq[i].body, &envelope); err != nil {
-					t.Fatalf("%s: sequential error body: %v", item.ID, err)
-				}
-				if item.Error.Status != seq[i].status || item.Error.Code != envelope.Error.Code ||
-					item.Error.Message != envelope.Error.Message {
-					t.Errorf("%s: batch error %+v, sequential %d %s %q",
-						item.ID, item.Error, seq[i].status, envelope.Error.Code, envelope.Error.Message)
-				}
-			}
-		})
-	}
-}
-
 // TestBatchSingleItemEnvelope pins the regression guard the fuzz
 // target relies on: a one-item batch is the single request, down to
 // the normalized bytes and the per-item metric accounting.
@@ -185,7 +58,7 @@ func TestBatchSingleItemEnvelope(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	var it BatchDiffItem
 	it.Format = "text"
-	it.Old, it.New = renderPair(t, batteryClasses()[0], 601)
+	it.Old, it.New = renderPair(t, gen.Classes()[0], 601)
 
 	status, single, _ := postJSON(t, ts, "/v1/diff", it.DiffRequest)
 	if status != http.StatusOK {

@@ -13,6 +13,13 @@ import (
 	"ladiff/internal/sched"
 )
 
+// A job's completion webhook gets webhookAttempts POSTs (first try and
+// retries), each bounded by webhookTimeout.
+const (
+	webhookAttempts = 3
+	webhookTimeout  = 5 * time.Second
+)
+
 // JobSubmitRequest is the body of POST /v1/jobs/diff: a full
 // DiffRequest plus delivery options. The diff runs asynchronously —
 // the response is 202 with a job ID to poll — which is the right shape
@@ -168,7 +175,7 @@ func (s *Server) deliverWebhook(url string, status JobStatus) {
 		return
 	}
 	backoff := s.cfg.WebhookBackoff
-	for attempt := 0; attempt < s.cfg.WebhookAttempts; attempt++ {
+	for attempt := 0; attempt < webhookAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff):
@@ -185,11 +192,11 @@ func (s *Server) deliverWebhook(url string, status JobStatus) {
 	}
 	s.met.WebhookFailures.Add(1)
 	s.log.Warn("webhook delivery failed", "url", url, "job", status.ID,
-		"attempts", s.cfg.WebhookAttempts)
+		"attempts", webhookAttempts)
 }
 
 func (s *Server) tryWebhook(url string, body []byte) bool {
-	ctx, cancel := context.WithTimeout(s.webhookCtx, s.cfg.WebhookTimeout)
+	ctx, cancel := context.WithTimeout(s.webhookCtx, webhookTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {

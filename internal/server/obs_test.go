@@ -128,47 +128,6 @@ func TestChaosTraceRingStorm(t *testing.T) {
 	}
 }
 
-// TestChaosTraceRingUnsampledStorm is the armed-but-unsampled variant:
-// checkpoints live, Sample rejecting everything. Requests must succeed
-// exactly as before and the ring must stay untouched.
-func TestChaosTraceRingUnsampledStorm(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("observability already armed")
-	}
-	leak := testleak.Check(t)
-	ring := obs.NewRing(8)
-	deactivate := obs.Activate(obs.Config{
-		Ring:   ring,
-		Sample: func(string) bool { return false },
-	})
-	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		deactivate()
-		leak()
-	}()
-
-	req := DiffRequest{Old: diffPairs["text"][0], New: diffPairs["text"][1], Format: "text"}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				status, _, _ := postJSON(t, ts, "/v1/diff", req)
-				if status != http.StatusOK {
-					t.Errorf("status %d", status)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if st := ring.Stats(); st.Offered != 0 {
-		t.Errorf("unsampled requests offered %d traces", st.Offered)
-	}
-}
-
 // TestTraceTimeoutRetained pins the failure path end to end under the
 // leak check: a request that dies on its deadline must produce a 504
 // whose trace is errored "http 504" and retained ahead of successful

@@ -105,14 +105,9 @@ type Config struct {
 	// JobTTL is how long a finished job's result stays pollable before
 	// the store sweeps it. 0 means 5 minutes.
 	JobTTL time.Duration
-	// WebhookAttempts bounds delivery attempts for a job's completion
-	// webhook (first try + retries). 0 means 3.
-	WebhookAttempts int
-	// WebhookBackoff is the base delay between webhook attempts,
-	// doubling per retry. 0 means 250ms.
+	// WebhookBackoff is the base delay between a job's completion
+	// webhook attempts, doubling per retry. 0 means 250ms.
 	WebhookBackoff time.Duration
-	// WebhookTimeout bounds each webhook POST. 0 means 5s.
-	WebhookTimeout time.Duration
 	// Logger receives structured access logs. Nil means slog.Default.
 	Logger *slog.Logger
 }
@@ -157,14 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.JobTTL <= 0 {
 		c.JobTTL = 5 * time.Minute
 	}
-	if c.WebhookAttempts <= 0 {
-		c.WebhookAttempts = 3
-	}
 	if c.WebhookBackoff <= 0 {
 		c.WebhookBackoff = 250 * time.Millisecond
-	}
-	if c.WebhookTimeout <= 0 {
-		c.WebhookTimeout = 5 * time.Second
 	}
 	if c.MaxFeeds <= 0 {
 		c.MaxFeeds = 256
@@ -308,7 +297,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-Id", id)
 		tr, ctx := obs.StartTrace(r.Context(), r.Method+" "+r.URL.Path, id)
-		if tr == nil { // armed but unsampled
+		if tr == nil { // disarmed since the check above
 			next.ServeHTTP(w, r)
 			return
 		}

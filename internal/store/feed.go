@@ -52,6 +52,9 @@ type ChangeHit struct {
 	OldValue string `json:"old_value,omitempty"`
 }
 
+// maxHitsPerEvent caps Event.Hits.
+const maxHitsPerEvent = 16
+
 // Event is one feed notification.
 type Event struct {
 	Type        EventType `json:"type"`
@@ -62,7 +65,7 @@ type Event struct {
 	Ops         OpCounts  `json:"ops"`
 	Rebase      bool      `json:"rebase,omitempty"`
 	// Hits lists the filter's matches in the change's delta tree, capped
-	// at Config.MaxHitsPerEvent; TotalHits is the uncapped count. Both
+	// at maxHitsPerEvent; TotalHits is the uncapped count. Both
 	// are empty for snapshot/catch-up events and for changes where no
 	// per-node attribution exists (a document's first version, or a diff
 	// that could not run inside the ingest context).
@@ -274,8 +277,8 @@ func (s *Store) fanout(ctx context.Context, d *document, prev, next *tree.Tree, 
 					continue
 				}
 				ev.TotalHits = len(hits)
-				if len(hits) > s.cfg.MaxHitsPerEvent {
-					hits = hits[:s.cfg.MaxHitsPerEvent]
+				if len(hits) > maxHitsPerEvent {
+					hits = hits[:maxHitsPerEvent]
 				}
 				ev.Hits = make([]ChangeHit, len(hits))
 				for i, h := range hits {

@@ -66,9 +66,6 @@ type Config struct {
 	// subscriber that falls further behind than this has events dropped
 	// (counted, never blocking ingest). 0 means 16.
 	FeedBuffer int
-	// MaxHitsPerEvent caps the per-event list of matched change paths;
-	// TotalHits still reports the full count. 0 means 16.
-	MaxHitsPerEvent int
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FeedBuffer <= 0 {
 		c.FeedBuffer = 16
-	}
-	if c.MaxHitsPerEvent <= 0 {
-		c.MaxHitsPerEvent = 16
 	}
 	return c
 }

@@ -156,8 +156,9 @@ func TestErrors(t *testing.T) {
 }
 
 // TestLowerBoundsOurScripts: on move-free perturbations the ZS unit
-// distance is the true optimum for insert/delete/relabel, so it can never
-// exceed our script's operation count for the same transformation.
+// distance is optimal for its own insert/delete/relabel (a delete may
+// splice an internal node), so it can never exceed our script's
+// operation count for the same transformation.
 func TestLowerBoundsOurScripts(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
