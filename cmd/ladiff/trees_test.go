@@ -215,3 +215,21 @@ func TestTreeExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidUTF8RawBytes: the CLI reads its inputs as bytes and diffs
+// them as they are. Unlike a JSON request body, nothing turns a byte
+// that is not valid UTF-8 into U+FFFD, so the marked output carries the
+// lone 0xCE of both versions through.
+func TestInvalidUTF8RawBytes(t *testing.T) {
+	oldP, newP := writeFiles(t, "Alpha beta gamma delta. Epsilon zeta eta theta. Iota \xce kappa lambda mu nu.",
+		"Alpha beta gamma delta. Epsilon zeta eta theta. Iota \xce kappa lambda mu nu xi.", ".txt")
+	out, err := capture(t, func() error {
+		return run(oldP, newP, options{out: "marked"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "Iota \xce kappa lambda mu nu xi.") || strings.Contains(out, "\ufffd") {
+		t.Fatalf("marked output lost the raw byte:\n%q", out)
+	}
+}

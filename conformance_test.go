@@ -148,21 +148,30 @@ func TestInjectionDisabledByDefault(t *testing.T) {
 }
 
 // FuzzConformance runs one cell of the matrix on a fuzzed text pair:
-// surface and knob pick the column. The pair is valid UTF-8, the only
-// text a JSON string carries: a request body's invalid bytes arrive as
-// U+FFFD, another document. PruneCosts holds on the workload table
+// surface and knob pick the column. A pair that is not valid UTF-8,
+// which a JSON string cannot carry, runs the refusal cell instead (see
+// InvalidUTF8Cell): the library diffs the raw bytes, and every HTTP
+// surface refuses the pair rather than diff a document in which each
+// invalid byte became U+FFFD. PruneCosts holds on the workload table
 // only, so it is not asked here.
 func FuzzConformance(f *testing.F) {
 	f.Add("One two three. Four five.", "One two three. Four five six.", uint8(1), uint8(0))
 	f.Add("A b. C d.\n\nE f g.", "E f g.\n\nA b. C d.", uint8(2), uint8(6))
 	f.Add("Same words here.", "Same words here.", uint8(7), uint8(0))
 	f.Add("Alpha beta.", "Gamma delta.", uint8(7), uint8(0))
+	f.Add("Alpha \xce beta.", "Alpha beta.", uint8(1), uint8(0))
 	h := conformance.NewHarness(f)
 	knobs := conformance.Knobs()
 	f.Fuzz(func(t *testing.T, oldText, newText string, surface, knob uint8) {
 		p := conformance.Pair{Name: "fuzz", Format: "text", Old: oldText, New: newText}
 		s, k := conformance.Surfaces[int(surface)%len(conformance.Surfaces)], knobs[int(knob)%len(knobs)]
-		if !k.Applies(s, p) || !utf8.ValidString(oldText) || !utf8.ValidString(newText) {
+		if !utf8.ValidString(oldText) || !utf8.ValidString(newText) {
+			if err := h.InvalidUTF8Cell(s, p); err != nil {
+				t.Errorf("%s: %v", s, err)
+			}
+			return
+		}
+		if !k.Applies(s, p) {
 			return
 		}
 		refs, err := conformance.References(p)
@@ -173,4 +182,17 @@ func FuzzConformance(f *testing.F) {
 			t.Errorf("%s/%s: %v", s, k.Name, err)
 		}
 	})
+}
+
+// TestInvalidUTF8 runs the refusal cell of a pair holding the lone byte
+// 0xCE on every surface.
+func TestInvalidUTF8(t *testing.T) {
+	h := conformance.NewHarness(t)
+	p := conformance.Pair{Name: "invalid-utf8", Format: "text",
+		Old: "Alpha beta gamma. Delta \xce epsilon.", New: "Alpha beta gamma. Delta \xce epsilon zeta."}
+	for _, s := range conformance.Surfaces {
+		if err := h.InvalidUTF8Cell(s, p); err != nil {
+			t.Errorf("%s: %v", s, err)
+		}
+	}
 }

@@ -2,9 +2,11 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/url"
 	"time"
+	"unicode/utf8"
 
 	"ladiff/internal/server"
 )
@@ -34,10 +36,38 @@ type (
 	JobStatus = server.JobStatus
 )
 
+// ErrInvalidUTF8 marks a request the client refused to send because a
+// document in it, or the text of a patch script's operation, is not
+// valid UTF-8. A JSON string carries Unicode text only: json.Marshal
+// would send each invalid byte as U+FFFD, and the server would diff or
+// patch a document other than the caller's.
+var ErrInvalidUTF8 = errors.New("client: document is not valid UTF-8")
+
+// checkUTF8 refuses a document that JSON cannot carry unchanged; field
+// names it in the error.
+func checkUTF8(field, doc string) error {
+	if utf8.ValidString(doc) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s, first bad byte at offset %d", ErrInvalidUTF8, field, server.InvalidUTF8At([]byte(doc)))
+}
+
+// checkDiffDocs refuses a diff request whose old or new document is not
+// valid UTF-8.
+func checkDiffDocs(req DiffRequest) error {
+	if err := checkUTF8("old", req.Old); err != nil {
+		return err
+	}
+	return checkUTF8("new", req.New)
+}
+
 // Diff computes the edit script between req.Old and req.New on the
 // server, retrying transient failures. Check resp.Degraded to learn
 // whether the server fell back to a cheaper mode to produce it.
 func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResponse, error) {
+	if err := checkDiffDocs(req); err != nil {
+		return nil, err
+	}
 	var resp DiffResponse
 	if err := c.do(ctx, "/v1/diff", req, &resp); err != nil {
 		return nil, err
@@ -48,6 +78,16 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResponse, erro
 // Patch applies (or inverts) a script against req.Base on the server,
 // retrying transient failures.
 func (c *Client) Patch(ctx context.Context, req PatchRequest) (*PatchResponse, error) {
+	if err := checkUTF8("base", req.Base); err != nil {
+		return nil, err
+	}
+	for i, op := range req.Script {
+		for _, text := range []string{string(op.Label), op.Value, op.OldValue} {
+			if err := checkUTF8(fmt.Sprintf("script op %d", i+1), text); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var resp PatchResponse
 	if err := c.do(ctx, "/v1/patch", req, &resp); err != nil {
 		return nil, err
@@ -60,6 +100,11 @@ func (c *Client) Patch(ctx context.Context, req PatchRequest) (*PatchResponse, e
 // back inline in the response (partial-failure semantics), not as an
 // error from this method.
 func (c *Client) BatchDiff(ctx context.Context, req BatchDiffRequest) (*BatchDiffResponse, error) {
+	for i, it := range req.Items {
+		if err := checkDiffDocs(it.DiffRequest); err != nil {
+			return nil, fmt.Errorf("item %d: %w", i, err)
+		}
+	}
 	var resp BatchDiffResponse
 	if err := c.do(ctx, "/v1/diff/batch", req, &resp); err != nil {
 		return nil, err
@@ -70,6 +115,9 @@ func (c *Client) BatchDiff(ctx context.Context, req BatchDiffRequest) (*BatchDif
 // SubmitJob enqueues an async diff job and returns its 202 status
 // (State "queued", carrying the job ID to poll).
 func (c *Client) SubmitJob(ctx context.Context, req JobSubmitRequest) (*JobStatus, error) {
+	if err := checkDiffDocs(req.DiffRequest); err != nil {
+		return nil, err
+	}
 	var resp JobStatus
 	if err := c.do(ctx, "/v1/jobs/diff", req, &resp); err != nil {
 		return nil, err

@@ -7,9 +7,11 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ladiff/internal/edit"
 	"ladiff/internal/server"
 )
 
@@ -96,5 +98,47 @@ func TestPollJobUnknownIs404(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "not_found" {
 		t.Fatalf("PollJob unknown = %v, want 404 not_found", err)
+	}
+}
+
+// TestRefusesInvalidUTF8: a document that is not valid UTF-8 is refused
+// before anything is sent, by every method that carries one, where
+// json.Marshal would have sent U+FFFD for the byte.
+func TestRefusesInvalidUTF8(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) }))
+	t.Cleanup(ts.Close)
+	c := New(Config{BaseURL: ts.URL})
+	ctx := context.Background()
+	bad := DiffRequest{Old: "Alpha beta.", New: "Alpha \xce beta.", Format: "text"}
+	for name, call := range map[string]func() error{
+		"Diff": func() error { _, err := c.Diff(ctx, bad); return err },
+		"Patch": func() error {
+			_, err := c.Patch(ctx, PatchRequest{Base: bad.New, Format: "text"})
+			return err
+		},
+		"Patch script": func() error {
+			_, err := c.Patch(ctx, PatchRequest{Base: bad.Old, Format: "text", Script: edit.Script{edit.Upd(3, "Alpha beta.", bad.New)}})
+			return err
+		},
+		"BatchDiff": func() error {
+			_, err := c.BatchDiff(ctx, BatchDiffRequest{Items: []BatchDiffItem{{ID: "a", DiffRequest: bad}}})
+			return err
+		},
+		"SubmitJob": func() error { _, err := c.SubmitJob(ctx, JobSubmitRequest{DiffRequest: bad}); return err },
+		"IngestDoc": func() error {
+			_, err := c.IngestDoc(ctx, "k", DocPutRequest{Format: "text", Content: bad.New})
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrInvalidUTF8) {
+			t.Errorf("%s: %v, want ErrInvalidUTF8", name, err)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("%d requests reached the server", n)
+	}
+	if c.Failures() != 0 {
+		t.Errorf("a refused request counted %d breaker failures", c.Failures())
 	}
 }

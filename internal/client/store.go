@@ -36,6 +36,9 @@ func docPath(key string, rest string) string {
 // idempotent: re-sending content the server already has as its head
 // returns the existing version with Noop set.
 func (c *Client) IngestDoc(ctx context.Context, key string, req DocPutRequest) (*DocPutResponse, error) {
+	if err := checkUTF8("content", req.Content); err != nil {
+		return nil, err
+	}
 	var resp DocPutResponse
 	if err := c.doMethod(ctx, "PUT", docPath(key, ""), req, &resp); err != nil {
 		return nil, err

@@ -3,10 +3,12 @@ package conformance
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"ladiff/internal/client"
 	"ladiff/internal/route"
@@ -27,6 +30,7 @@ import (
 // replicas. It reaches each through internal/client, retries off.
 type Harness struct {
 	plain, cached, routed *client.Client
+	plainURL, routedURL   string
 	docs                  atomic.Int64
 }
 
@@ -45,7 +49,8 @@ func NewHarness(tb testing.TB) *Harness {
 	st := store.New(store.Config{})
 	tb.Cleanup(func() { st.Close() })
 	explicit := server.Config{Store: st, MatchWorkBudget: 0, MaxTreeDepth: 10_000, MaxTreeNodes: 200_000}
-	h := &Harness{plain: dial(serve(explicit)), cached: dial(serve(server.Config{DiffCacheEntries: 64}))}
+	h := &Harness{plainURL: serve(explicit), cached: dial(serve(server.Config{DiffCacheEntries: 64}))}
+	h.plain = dial(h.plainURL)
 	rt := route.New(route.Config{Replicas: []string{serve(server.Config{}), serve(server.Config{})}, Logger: quiet})
 	ts := httptest.NewServer(rt.Handler())
 	tb.Cleanup(func() {
@@ -54,6 +59,7 @@ func NewHarness(tb testing.TB) *Harness {
 		defer cancel()
 		rt.Shutdown(ctx)
 	})
+	h.routedURL = ts.URL
 	h.routed = dial(ts.URL)
 	return h
 }
@@ -277,4 +283,79 @@ func (h *Harness) ErrorCells() []error {
 		}
 	}
 	return errs
+}
+
+// InvalidUTF8Cell runs the refusal cell of a pair that is not valid
+// UTF-8 on surface. The library diffs the raw bytes: its script must
+// replay to the new document, every byte intact (Check). An HTTP
+// surface refuses the pair twice over: internal/client will not send it
+// (client.ErrInvalidUTF8), and the server, sent the body with the raw
+// bytes in its strings, answers 400 bad_request rather than diff a
+// document in which each invalid byte became U+FFFD.
+func (h *Harness) InvalidUTF8Cell(surface string, p Pair) error {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if surface == "library" {
+		run, err := Library(ctx, p, Knob{})
+		if err != nil {
+			return err
+		}
+		return Check(run.Res, run.Res.Script)
+	}
+	if _, err := h.Run(ctx, surface, p, Knob{}); !errors.Is(err, client.ErrInvalidUTF8) {
+		return fmt.Errorf("the client sent the pair: %v", err)
+	}
+	base, via := h.plainURL, surface
+	if s, ok := strings.CutPrefix(surface, "routed-"); ok {
+		base, via = h.routedURL, s
+	}
+	diff := `{"old":` + rawString(p.Old) + `,"new":` + rawString(p.New) + `,"format":` + rawString(p.Format) + `}`
+	method, path, body := http.MethodPost, "/v1/diff", diff
+	switch via {
+	case "batch":
+		path, body = "/v1/diff/batch", `{"items":[`+diff+`]}`
+	case "job":
+		path = "/v1/jobs/diff"
+	case "store":
+		method, path = http.MethodPut, fmt.Sprintf("/v1/docs/c%d", h.docs.Add(1))
+		doc := p.Old
+		if utf8.ValidString(doc) {
+			doc = p.New
+		}
+		body = `{"format":` + rawString(p.Format) + `,"content":` + rawString(doc) + `}`
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+path, strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var env struct{ Error server.ItemError }
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		return fmt.Errorf("%s %s with invalid UTF-8: status %d, %+v (%v), want 400 bad_request", method, path, resp.StatusCode, env.Error, err)
+	}
+	return nil
+}
+
+// rawString quotes s as a JSON string but keeps the bytes that are not
+// valid UTF-8 as they are, where json.Marshal would write U+FFFD.
+func rawString(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case c < 0x20:
+			fmt.Fprintf(&b, `\u%04x`, c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }

@@ -11,8 +11,11 @@ import (
 // FuzzScriptApply decodes arbitrary bytes as a JSON edit script and
 // applies it to a fixed small tree. Every input must end in an error
 // that leaves the input tree unchanged, or in a valid tree whose ID
-// bound grew by at most the script's length. Each op is also applied
-// alone, checking Op.Apply's promise that a failed op changes nothing.
+// bound grew by at most the script's length. Invert must leave its
+// input unchanged too, and a script it inverts must be one ApplyTo
+// applies, to a tree identical (IDs and IDBound) to the one Invert
+// returns. Each op is also applied alone, checking Op.Apply's promise
+// that a failed op changes nothing.
 func FuzzScriptApply(f *testing.F) {
 	for _, s := range []Script{
 		randomValidScript(rand.New(rand.NewSource(1)), sample(), 12),
@@ -34,10 +37,17 @@ func FuzzScriptApply(f *testing.F) {
 			return
 		}
 		base := sample()
-		want := base.String()
+		want, bound := base.String(), base.IDBound()
 		out, err := s.ApplyTo(base)
-		if base.String() != want || base.Validate() != nil {
+		if base.String() != want || base.IDBound() != bound || base.Validate() != nil {
 			t.Fatalf("ApplyTo changed its input tree")
+		}
+		_, replayed, ierr := Invert(s, base)
+		if base.String() != want || base.IDBound() != bound || base.Validate() != nil {
+			t.Fatalf("Invert changed its input tree")
+		}
+		if ierr == nil && (err != nil || !tree.Identical(replayed, out)) {
+			t.Fatalf("Invert replayed to\n%v, ApplyTo to\n%v (%v)", replayed, out, err)
 		}
 		if err == nil {
 			if err := out.Validate(); err != nil {

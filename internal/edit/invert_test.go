@@ -14,7 +14,7 @@ func TestInvertSimpleOps(t *testing.T) {
 		Mov(4, 5, 1),
 		Del(6),
 	}
-	inv, err := Invert(s, base)
+	inv, _, err := Invert(s, base)
 	if err != nil {
 		t.Fatalf("Invert: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestInvertKindMapping(t *testing.T) {
 		Ins(7, "s", "v", 2, 1),
 		Del(7),
 	}
-	inv, err := Invert(s, base)
+	inv, _, err := Invert(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestInvertIntraParentMove(t *testing.T) {
 		Mov(3, 1, 3), // b after d: c d b a... positions are detach-first
 		Mov(4, 1, 3),
 	}
-	inv, err := Invert(s, base)
+	inv, _, err := Invert(s, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestInvertErrors(t *testing.T) {
 		{{Kind: Kind(42)}},
 		{Del(2)}, // non-leaf: replay fails
 	} {
-		if _, err := Invert(s, base); err == nil {
+		if _, _, err := Invert(s, base); err == nil {
 			t.Errorf("expected error inverting %v", s)
 		}
 	}
@@ -130,7 +130,7 @@ func TestInvertPropertyGeneratedScripts(t *testing.T) {
 	}
 	for i, s := range scripts {
 		work := base.Clone()
-		inv, err := Invert(s, base)
+		inv, _, err := Invert(s, base)
 		if err != nil {
 			t.Fatalf("script %d: %v", i, err)
 		}

@@ -97,7 +97,7 @@ func TestQuickScriptsApplyAndInvert(t *testing.T) {
 		if err := work.Validate(); err != nil {
 			return false
 		}
-		inv, err := Invert(script, base)
+		inv, _, err := Invert(script, base)
 		if err != nil {
 			return false
 		}

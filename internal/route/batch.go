@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"unicode/utf8"
 )
 
 // Batch routing: POST /v1/diff/batch is split per item so each pair
@@ -56,15 +57,16 @@ func syntheticError(status int, code, msg string) json.RawMessage {
 }
 
 // proxyBatch scatters one batch request across the ring. Requests the
-// router cannot (or must not) split — undecodable bodies, empty item
-// lists, items that are not objects, duplicate correlation IDs — fall
-// through to plain body-hash proxying, so the owning replica issues
-// the exact validation verdict a single-replica deployment would.
+// router cannot (or must not) split — undecodable bodies (invalid UTF-8
+// too, which json.Unmarshal would accept), empty item lists, items that
+// are not objects, duplicate correlation IDs — fall through to plain
+// body-hash proxying, so the owning replica issues the exact validation
+// verdict a single-replica deployment would.
 func (rt *Router) proxyBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req struct {
 		Items []json.RawMessage `json:"items"`
 	}
-	if json.Unmarshal(body, &req) != nil || len(req.Items) == 0 {
+	if !utf8.Valid(body) || json.Unmarshal(body, &req) != nil || len(req.Items) == 0 {
 		rt.proxy(w, r, body)
 		return
 	}

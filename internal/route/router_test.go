@@ -759,3 +759,52 @@ func TestReadBody(t *testing.T) {
 		t.Errorf("oversize body: status %d %s, want 413 too_large", resp.StatusCode, data)
 	}
 }
+
+// TestRouterRefusesInvalidUTF8: through the router, every JSON route
+// answers a body holding the lone byte 0xCE with the replica's 400
+// bad_request, counted once in the replicas' bad_requests_total. A
+// batch is not split: the router would decode it with U+FFFD in place
+// of the byte, so it goes whole to one replica, which refuses it.
+func TestRouterRefusesInvalidUTF8(t *testing.T) {
+	var replicas []*server.Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		st := store.New(store.Config{})
+		t.Cleanup(func() { st.Close() })
+		s := server.New(server.Config{Store: st, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		replicas, urls = append(replicas, s), append(urls, ts.URL)
+	}
+	rt := newTestRouter(t, Config{Replicas: urls})
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	badRequests := func() (n int64) {
+		for _, s := range replicas {
+			n += s.Metrics().BadRequests.Load()
+		}
+		return n
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/diff", `{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}`},
+		{"POST", "/v1/diff/batch", `{"items":[{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}]}`},
+		{"POST", "/v1/patch", `{"base":"Alpha ~ beta.","format":"text"}`},
+		{"POST", "/v1/jobs/diff", `{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}`},
+		{"PUT", "/v1/docs/k", `{"format":"text","content":"Alpha ~ beta."}`},
+	} {
+		before := badRequests()
+		req, _ := http.NewRequest(c.method, router.URL+c.path, strings.NewReader(strings.Replace(c.body, "~", "\xce", 1)))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || errorCode(data) != "bad_request" {
+			t.Errorf("%s %s: %d %s, want 400 bad_request", c.method, c.path, resp.StatusCode, data)
+		}
+		if n := badRequests() - before; n != 1 {
+			t.Errorf("%s %s: bad_requests_total moved by %d, want 1", c.method, c.path, n)
+		}
+	}
+}

@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"ladiff"
+	"ladiff/internal/edit"
 	"ladiff/internal/fault"
 	"ladiff/internal/lderr"
 	"ladiff/internal/obs"
@@ -268,12 +270,31 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 	return buf, nil
 }
 
-// decodeJSON decodes a request body, refusing a malformed one.
+// decodeJSON decodes a request body, refusing a malformed one. A body
+// that is not valid UTF-8 is refused first: json.Unmarshal would read
+// each invalid byte as U+FFFD, and the server would diff a document the
+// client never sent.
 func (s *Server) decodeJSON(body []byte, dst any) *ItemError {
+	if !utf8.Valid(body) {
+		return s.badRequest(fmt.Sprintf("body is not valid UTF-8: first bad byte at offset %d", InvalidUTF8At(body)))
+	}
 	if err := json.Unmarshal(body, dst); err != nil {
 		return s.badRequest("malformed JSON: " + err.Error())
 	}
 	return nil
+}
+
+// InvalidUTF8At returns the offset of the first byte of b that does not
+// begin a valid UTF-8 sequence, or -1 when b is valid UTF-8.
+func InvalidUTF8At(b []byte) int {
+	for i := 0; i < len(b); {
+		r, size := utf8.DecodeRune(b[i:])
+		if r == utf8.RuneError && size == 1 {
+			return i
+		}
+		i += size
+	}
+	return -1
 }
 
 // enter admits one unit of work that holds a worker slot — a /v1/diff
@@ -678,30 +699,27 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) *ItemError 
 // the reverted one as proof the inverse reverts — and the inverse.
 // Scripts reference node IDs of a deterministic parse of the base, and
 // re-parsing a rendered document renumbers IDs, so the whole round trip
-// runs against this one parse.
+// runs against this one parse. The script is replayed once: inverting
+// it yields the patched tree, which the inverse then reverts in place.
 func patch(script ladiff.Script, base *ladiff.Tree, invert bool) (*ladiff.Tree, ladiff.Script, error) {
-	var inv ladiff.Script
-	if invert {
-		var err error
-		if inv, err = ladiff.InvertScript(script, base); err != nil {
-			return nil, nil, fmt.Errorf("invert: %w", err)
-		}
-	}
-	patched, err := script.ApplyTo(base)
-	if err != nil {
-		return nil, nil, fmt.Errorf("apply: %w", err)
-	}
 	if !invert {
+		patched, err := script.ApplyTo(base)
+		if err != nil {
+			return nil, nil, fmt.Errorf("apply: %w", err)
+		}
 		return patched, nil, nil
 	}
-	reverted, err := inv.ApplyTo(patched)
+	inv, work, err := edit.Invert(script, base)
 	if err != nil {
+		return nil, nil, fmt.Errorf("invert: %w", err)
+	}
+	if err := inv.Apply(work); err != nil {
 		return nil, nil, fmt.Errorf("apply inverse: %w", err)
 	}
-	if !ladiff.Isomorphic(reverted, base) {
+	if !ladiff.Isomorphic(work, base) {
 		return nil, nil, errors.New("inverse script does not revert the base document")
 	}
-	return reverted, inv, nil
+	return work, inv, nil
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.

@@ -38,8 +38,9 @@ var phaseNames = [numPhases]string{"parse", "match", "generate", "render"}
 //	rejected_size_total       413s: too_large body, tree_too_large, batch over its item/byte bound
 //	rejected_draining_total   503 draining: arrived while draining
 //	timeouts_total            504s: per-request deadline expired mid-pipeline
-//	bad_requests_total        400s (malformed JSON, unknown format/output/matcher/mode,
-//	                          parse_error), 404 not_found (document, version or job id),
+//	bad_requests_total        400s (malformed JSON, a body that is not valid UTF-8,
+//	                          unknown format/output/matcher/mode, parse_error),
+//	                          404 not_found (document, version or job id),
 //	                          409 format_mismatch and rebase_boundary
 //	errors_total              500 internal (a contained panic counts in panics_total
 //	                          instead), 422 patch_error, 503 store_unavailable and over_budget

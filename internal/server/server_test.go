@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"ladiff"
 	"ladiff/internal/edit"
 	"ladiff/internal/gen"
+	"ladiff/internal/store"
 	"ladiff/internal/testleak"
 )
 
@@ -65,12 +67,15 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) int {
 	return resp.StatusCode
 }
 
-// send makes one request to path, with body JSON-encoded unless it is
-// nil, and returns the status and the response body.
+// send makes one request to path, with body sent as is when it is a
+// []byte and JSON-encoded unless it is nil, and returns the status and
+// the response body.
 func send(t *testing.T, ts *httptest.Server, method, path string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -362,6 +367,35 @@ func TestPatchErrors(t *testing.T) {
 		expectError(t, s, ts, "POST", "/v1/patch",
 			PatchRequest{Base: base, Format: "tree", Script: edit.Script{edit.Del(99)}, Invert: invert},
 			http.StatusUnprocessableEntity, "patch_error", "errors_total")
+	}
+}
+
+// invalidUTF8Bodies holds, for each JSON route, a request body whose
+// document holds a "~" that the test replaces with the lone byte 0xCE,
+// the lead byte of a two-byte sequence that never completes.
+var invalidUTF8Bodies = []struct{ method, path, body string }{
+	{"POST", "/v1/diff", `{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}`},
+	{"POST", "/v1/diff/batch", `{"items":[{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}]}`},
+	{"POST", "/v1/patch", `{"base":"Alpha ~ beta.","format":"text"}`},
+	{"POST", "/v1/jobs/diff", `{"old":"Alpha ~ beta.","new":"Alpha beta.","format":"text"}`},
+	{"PUT", "/v1/docs/k", `{"format":"text","content":"Alpha ~ beta."}`},
+}
+
+// TestInvalidUTF8Refused: a JSON body that is not valid UTF-8 is
+// refused with 400 bad_request naming the first bad byte, on every
+// JSON route, rather than decoded with U+FFFD in place of the byte.
+func TestInvalidUTF8Refused(t *testing.T) {
+	s, ts, _ := newStoreServer(t, store.Config{}, Config{})
+	for _, c := range invalidUTF8Bodies {
+		t.Run(c.method+" "+c.path, func(t *testing.T) {
+			body := []byte(strings.Replace(c.body, "~", "\xce", 1))
+			expectError(t, s, ts, c.method, c.path, body, http.StatusBadRequest, "bad_request", "bad_requests_total")
+			_, out := send(t, ts, c.method, c.path, body)
+			want := fmt.Sprintf("first bad byte at offset %d", bytes.IndexByte(body, 0xce))
+			if !bytes.Contains(out, []byte(want)) {
+				t.Errorf("%s: want the message to say %q", out, want)
+			}
+		})
 	}
 }
 

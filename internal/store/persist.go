@@ -193,14 +193,10 @@ func (s *Store) replay(rec logRecord) error {
 			return fmt.Errorf("%q delta v%d out of order (have %d versions)",
 				rec.Key, rec.Version, len(d.versions))
 		}
-		forward := rec.Script
-		inverse, err := edit.Invert(forward, d.head)
+		forward := exact(rec.Script)
+		inverse, advanced, err := edit.Invert(forward, d.head)
 		if err != nil {
 			return fmt.Errorf("%q v%d: inverting delta: %w", rec.Key, rec.Version, err)
-		}
-		advanced, err := forward.ApplyTo(d.head)
-		if err != nil {
-			return fmt.Errorf("%q v%d: applying delta: %w", rec.Key, rec.Version, err)
 		}
 		if got := fpOf(advanced).String(); got != rec.FP {
 			return fmt.Errorf("%q v%d: fingerprint %s, log says %s", rec.Key, rec.Version, got, rec.FP)

@@ -265,17 +265,20 @@ func (s *Store) doc(key string, create bool) (*document, error) {
 // fingerprint that is identical to t, node IDs and IDBound included, is
 // already retained, that tree is shared instead of keeping another copy.
 // Equal content is not enough: checkouts replay ID-addressed inverse
-// scripts on the snapshot.
+// scripts on the snapshot. What is retained is a Clone of t, never t
+// itself: t is a head whose next diff caches its index and fingerprint
+// tables on it, which no checkout reads.
 func (s *Store) sharedSnapshot(t *tree.Tree) *tree.Tree {
 	fp := fpOf(t)
+	snap := t.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev := s.sharedSnaps[fp]; prev != nil && tree.Identical(prev, t) {
 		s.ctr.sharedSnaps.Add(1)
 		return prev
 	}
-	s.sharedSnaps[fp] = t
-	return t
+	s.sharedSnaps[fp] = snap
+	return snap
 }
 
 // Ingest commits the document source as the next version of key,
@@ -349,9 +352,14 @@ func (s *Store) Ingest(ctx context.Context, key, format, src string) (IngestResu
 		return s.commitRebase(ctx, d, src, next, res, sp)
 	}
 
-	advanced, err := res.ApplyToOld()
+	// One replay of the forward script yields both the inverse and the
+	// advanced head.
+	inverse, advanced, err := edit.Invert(res.Script, d.head)
 	if err != nil {
-		return IngestResult{}, lderr.Internal(fmt.Errorf("store: advancing head: %w", err))
+		return IngestResult{}, lderr.Internal(fmt.Errorf("store: inverting delta: %w", err))
+	}
+	if !tree.Isomorphic(advanced, next) {
+		return IngestResult{}, lderr.Internal(errors.New("store: advancing head: replayed script does not reproduce the new tree"))
 	}
 	if advanced.IDBound() > 2*tree.NodeID(advanced.Len())+64 {
 		// Compaction: a head keeps every ID its history ever allocated,
@@ -361,11 +369,7 @@ func (s *Store) Ingest(ctx context.Context, key, format, src string) (IngestResu
 		// no ingest's work grows with the document's history.
 		return s.commitRebase(ctx, d, src, next, res, sp)
 	}
-	forward := res.Script
-	inverse, err := edit.Invert(forward, d.head)
-	if err != nil {
-		return IngestResult{}, lderr.Internal(fmt.Errorf("store: inverting delta: %w", err))
-	}
+	forward := exact(res.Script)
 
 	n := len(d.versions) + 1
 	info := VersionInfo{
@@ -396,6 +400,11 @@ func (s *Store) Ingest(ctx context.Context, key, format, src string) (IngestResu
 	return IngestResult{Key: key, Version: n, Fingerprint: info.Fingerprint,
 		Nodes: info.Nodes, Ops: info.Ops}, nil
 }
+
+// exact returns a copy of s at exact length. The store keeps each
+// forward script for as long as its version lives, and the append slack
+// of the generator (or of the log decoder) would live as long.
+func exact(s edit.Script) edit.Script { return append(make(edit.Script, 0, len(s)), s...) }
 
 // matchOpts is the matcher configuration every internal diff runs
 // under: the fingerprint ladder's identical-subtree pruning is on,
@@ -442,9 +451,9 @@ func (s *Store) commitRebase(ctx context.Context, d *document, src string, next 
 		return IngestResult{}, err
 	}
 	prev := d.head
-	// Both sides of the boundary become snapshots: the old head is
-	// unreachable from the new head (no inverse crosses the boundary),
-	// and the new base anchors the chain going forward.
+	// The old head becomes a snapshot: it is unreachable from the new
+	// head (no inverse crosses the boundary). The new base is the head,
+	// which anchors the chain going forward.
 	d.snapshots[n-1] = s.sharedSnapshot(prev)
 	d.forwards = append(d.forwards, nil)
 	d.inverses = append(d.inverses, nil)

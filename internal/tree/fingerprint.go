@@ -44,7 +44,10 @@ func DefaultCombine(label Label, value string, children []Fingerprint) Fingerpri
 // not mutated concurrently; any mutation that can change content
 // (structural edits and SetValue) invalidates the cached copy.
 type FPIndex struct {
-	fps  map[NodeID]Fingerprint
+	// fps is indexed by node ID; an ID the index does not cover reads
+	// the zero Fingerprint, which no node carries (see fingerprint.FP).
+	fps  []Fingerprint
+	n    int
 	root Fingerprint
 }
 
@@ -65,27 +68,31 @@ func (t *Tree) Fingerprints() *FPIndex {
 // tree's cache; use (*Tree).Fingerprints for the cached production
 // path. Exported with an injectable combiner so collision-handling
 // tests can hash every subtree to the same value and prove the
-// matcher's structural verification holds.
+// matcher's structural verification holds. The combiner must not
+// retain its children slice, and must not return the zero Fingerprint,
+// which marks an ID the index does not cover.
 func BuildFingerprints(t *Tree, combine CombineFunc) *FPIndex {
 	if combine == nil {
 		combine = DefaultCombine
 	}
-	ix := &FPIndex{fps: make(map[NodeID]Fingerprint, t.live)}
-	var rec func(n *Node) Fingerprint
-	rec = func(n *Node) Fingerprint {
-		var kids []Fingerprint
-		if len(n.children) > 0 {
-			kids = make([]Fingerprint, len(n.children))
-			for i, c := range n.children {
-				kids[i] = rec(c)
-			}
+	ix := &FPIndex{fps: make([]Fingerprint, len(t.nodes)), n: t.live}
+	// One stack serves every node: a node's children leave their
+	// fingerprints on top of it, in order, and the node replaces them
+	// with its own.
+	stack := make([]Fingerprint, 0, 16)
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		mark := len(stack)
+		for _, c := range n.children {
+			rec(c)
 		}
-		f := combine(n.label, n.value, kids)
+		f := combine(n.label, n.value, stack[mark:])
+		stack = append(stack[:mark], f)
 		ix.fps[n.id] = f
-		return f
 	}
 	if t.root != nil {
-		ix.root = rec(t.root)
+		rec(t.root)
+		ix.root = stack[0]
 	}
 	return ix
 }
@@ -97,12 +104,15 @@ func (ix *FPIndex) Root() Fingerprint { return ix.root }
 // Of returns the fingerprint of the subtree rooted at the node with
 // the given ID. The second result is false for IDs outside the index.
 func (ix *FPIndex) Of(id NodeID) (Fingerprint, bool) {
-	f, ok := ix.fps[id]
-	return f, ok
+	var f Fingerprint
+	if uint64(id) < uint64(len(ix.fps)) {
+		f = ix.fps[id]
+	}
+	return f, !f.IsZero()
 }
 
 // Len returns the number of fingerprinted nodes.
-func (ix *FPIndex) Len() int { return len(ix.fps) }
+func (ix *FPIndex) Len() int { return ix.n }
 
 // invalidateFingerprints drops the cached fingerprint index. Called by
 // every structural mutation (via invalidateIndex) and additionally by

@@ -178,6 +178,16 @@ root
 	if _, ok := ix.Of(12345); ok {
 		t.Error("Of() answered for an ID outside the tree")
 	}
+	// A deleted node leaves a hole below IDBound, which Of must not
+	// answer for either.
+	gone := kids[2].ID()
+	if err := tr.Delete(kids[2]); err != nil {
+		t.Fatal(err)
+	}
+	ix = tr.Fingerprints()
+	if _, ok := ix.Of(gone); ok || ix.Len() != tr.Len() {
+		t.Errorf("after a delete: Of(%d) answered %v, Len %d for %d nodes", gone, ok, ix.Len(), tr.Len())
+	}
 }
 
 // TestBuildFingerprintsWeakCombiner: the injectable combiner is honored
@@ -196,6 +206,18 @@ func TestBuildFingerprintsWeakCombiner(t *testing.T) {
 	// The tree's own cache must be untouched by a custom build.
 	if tr.Fingerprints().Root() == (Fingerprint{Hi: 1, Lo: 1}) {
 		t.Fatal("BuildFingerprints polluted the tree's cache")
+	}
+}
+
+// TestBuildFingerprintsAllocs: the table is one slice indexed by ID,
+// and every node hashes its children from one shared stack, so a build
+// allocates the index, its table and the stack, however many internal
+// nodes the tree has (while the stack stays within its first 16
+// entries).
+func TestBuildFingerprintsAllocs(t *testing.T) {
+	tr := fpDoc(t)
+	if n := testing.AllocsPerRun(100, func() { BuildFingerprints(tr, nil) }); n > 3 {
+		t.Errorf("%v allocations per build, want at most 3", n)
 	}
 }
 

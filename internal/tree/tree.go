@@ -556,19 +556,34 @@ func IsAncestor(a, n *Node) bool {
 }
 
 // Clone returns a deep copy of the tree. The copy preserves node IDs, so
-// Clone().Node(id) corresponds to t.Node(id) for every id.
+// Clone().Node(id) corresponds to t.Node(id) for every id. It carries
+// none of t's cached tables.
+//
+// Besides the Tree itself, the copy takes three allocations at exact
+// size: one slab of nodes, one array of child pointers from which every
+// child list is carved with len == cap (every node but the root is one
+// list's entry, so the array holds Len-1), and the node table. A later
+// insert into a list therefore reallocates that list and never writes
+// into a neighbour's.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{nodes: make([]*Node, len(t.nodes)), live: t.live}
 	if t.root == nil {
 		return out
 	}
+	slab := make([]Node, t.live)
+	kids := make([]*Node, t.live-1)
 	var rec func(src *Node, parent *Node) *Node
 	rec = func(src *Node, parent *Node) *Node {
-		n := &Node{id: src.id, label: src.label, value: src.value, parent: parent}
+		n := &slab[0]
+		slab = slab[1:]
+		*n = Node{id: src.id, label: src.label, value: src.value, parent: parent}
 		out.nodes[n.id] = n
-		n.children = make([]*Node, len(src.children))
-		for i, c := range src.children {
-			n.children[i] = rec(c, n)
+		if k := len(src.children); k > 0 {
+			n.children = kids[:k:k]
+			kids = kids[k:]
+			for i, c := range src.children {
+				n.children[i] = rec(c, n)
+			}
 		}
 		return n
 	}

@@ -361,6 +361,86 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// cloneFixture has three child lists of three carved side by side in a
+// clone's child array, so an append past one list's end would land on
+// its neighbour's first entry.
+const cloneFixture = `doc
+  section "a"
+    sentence "a1"
+    sentence "a2"
+    sentence "a3"
+  section "b"
+    sentence "b1"
+    sentence "b2"
+  section "c"
+    sentence "c1"`
+
+// TestCloneEditsStayLocal applies every insert, move and delete a
+// clone of cloneFixture admits, each to a fresh clone. The edited clone
+// must be valid and identical to the same edit on a parse of the
+// fixture, and the source and a second clone, taken first, must stay
+// identical to another parse: a clone's exact-size child lists
+// reallocate on growth and share nothing with the tree they copy.
+func TestCloneEditsStayLocal(t *testing.T) {
+	src := MustParse(cloneFixture)
+	second := src.Clone()
+	edits := 0
+	check := func(what string, edit func(*Tree) error) {
+		t.Helper()
+		c, ref := src.Clone(), MustParse(cloneFixture)
+		errC, errRef := edit(c), edit(ref)
+		if (errC == nil) != (errRef == nil) {
+			t.Fatalf("%s: clone %v, parse %v", what, errC, errRef)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !Identical(c, ref) {
+			t.Fatalf("%s: clone\n%s\nparse\n%s", what, c, ref)
+		}
+		if orig := MustParse(cloneFixture); !Identical(src, orig) || !Identical(second, orig) {
+			t.Fatalf("%s reached the source or another clone:\n%s\n%s", what, src, second)
+		}
+		edits++
+	}
+	ids := func() []NodeID {
+		var out []NodeID
+		src.Walk(func(n *Node) bool { out = append(out, n.ID()); return true })
+		return out
+	}
+	for _, p := range ids() {
+		for k := 1; k <= src.Node(p).NumChildren()+1; k++ {
+			check(fmt.Sprintf("insert at %d under %d", k, p), func(tr *Tree) error {
+				tr.InsertChild(tr.Node(p), k, "sentence", "new")
+				return nil
+			})
+		}
+	}
+	for _, n := range ids() {
+		for _, p := range ids() {
+			for k := 1; k <= src.Node(p).NumChildren()+1; k++ {
+				check(fmt.Sprintf("move %d to %d under %d", n, k, p), func(tr *Tree) error {
+					return tr.Move(tr.Node(n), tr.Node(p), k)
+				})
+			}
+		}
+		if src.Node(n).IsLeaf() {
+			check(fmt.Sprintf("delete %d", n), func(tr *Tree) error { return tr.Delete(tr.Node(n)) })
+		}
+	}
+	t.Logf("%d edits", edits)
+}
+
+// TestCloneAllocs: a clone is the Tree and three exact-size arrays (the
+// node slab, the child pointers, the node table), however many nodes it
+// copies.
+func TestCloneAllocs(t *testing.T) {
+	tr := MustParse(cloneFixture)
+	if n := testing.AllocsPerRun(100, func() { tr.Clone() }); n > 4 {
+		t.Errorf("%v allocations per clone of %d nodes, want 4", n, tr.Len())
+	}
+}
+
 func TestIsomorphic(t *testing.T) {
 	a := buildSample(t)
 	b := buildSample(t)

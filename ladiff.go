@@ -426,7 +426,10 @@ func DiffAtLevel(old, new *Tree, k OptimalityLevel, mopts MatchOptions) (*Result
 // InvertScript computes the inverse of a script relative to the tree it
 // applies to, making deltas bidirectional (apply to go forward, apply the
 // inverse to go back).
-func InvertScript(s Script, base *Tree) (Script, error) { return edit.Invert(s, base) }
+func InvertScript(s Script, base *Tree) (Script, error) {
+	inv, _, err := edit.Invert(s, base)
+	return inv, err
+}
 
 // DeltaQuery selects annotated nodes from a delta tree by path pattern
 // and change kind, e.g. "**/sentence[mrk]" for every moved sentence's

@@ -155,3 +155,17 @@ func TestComparersExported(t *testing.T) {
 		t.Fatal("unit costs")
 	}
 }
+
+// TestInvalidUTF8RawBytes: the library diffs documents as byte strings;
+// a byte that is not valid UTF-8 reaches the script as it is.
+func TestInvalidUTF8RawBytes(t *testing.T) {
+	oldT := ladiff.ParseText("Alpha beta gamma delta. Epsilon zeta eta theta. Iota \xce kappa lambda mu nu.")
+	newT := ladiff.ParseText("Alpha beta gamma delta. Epsilon zeta eta theta. Iota \xce kappa lambda mu nu xi.")
+	res, err := ladiff.Diff(oldT, newT, ladiff.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Script) != 1 || res.Script[0].Value != "Iota \xce kappa lambda mu nu xi." {
+		t.Fatalf("script %v, want one update to the raw bytes", res.Script)
+	}
+}
